@@ -21,14 +21,7 @@
 namespace scap {
 
 FaultSimulator::FaultSimulator(const Netlist& nl, const TestContext& ctx)
-    : FaultSimulator(nl, ctx, LevelizedView::build(nl)) {}
-
-FaultSimulator::FaultSimulator(const Netlist& nl, const TestContext& ctx,
-                               std::shared_ptr<const LevelizedView> view,
-                               std::size_t words)
-    : nl_(&nl), ctx_(&ctx), view_(std::move(view)) {
-  if (!view_) view_ = LevelizedView::build(nl);
-  set_batch_words(words);
+    : nl_(&nl), ctx_(&ctx), view_(LevelizedView::build(nl)) {
   init_counters_and_weights(nl, ctx);
   legacy_cs_.ensure(*view_);
 }

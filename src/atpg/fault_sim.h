@@ -51,20 +51,11 @@ class FaultSimulator {
 
   FaultSimulator(const Netlist& nl, const TestContext& ctx);
 
-  /// Share a prebuilt levelized view (e.g. the serve design cache) instead
-  /// of constructing one per simulator. `words` = 0 picks
-  /// kDefaultBatchWords.
-  FaultSimulator(const Netlist& nl, const TestContext& ctx,
-                 std::shared_ptr<const LevelizedView> view,
-                 std::size_t words = 0);
-
   /// Batch width used by grade(), in 64-pattern machine words (1, 2 or 4;
   /// 0 resets to the default). The legacy load_batch/detect_mask path is
   /// always single-word. Throws std::invalid_argument on other values.
   void set_batch_words(std::size_t words);
   std::size_t batch_words() const { return words_; }
-
-  std::shared_ptr<const LevelizedView> shared_view() const { return view_; }
 
   /// Load a batch of up to 64 fully specified patterns and compute the
   /// fault-free frames.

@@ -44,7 +44,7 @@ class PatternAnalyzer {
   /// analyzer needs. They are read-only after construction, so sharded
   /// screens build them once and hand every thread-private analyzer the same
   /// instance instead of recomputing them per shard (see
-  /// scap_profile_patterns / serve::WorkspacePool).
+  /// scap_profile_patterns).
   struct SharedTables {
     DelayModel dm;
     ScapCalculator scap;
@@ -121,7 +121,6 @@ class PatternAnalyzer {
 
   const DelayModel& nominal_delays() const { return tables_->dm; }
   const ScapCalculator& scap_calculator() const { return tables_->scap; }
-  std::shared_ptr<const SharedTables> shared_tables() const { return tables_; }
   const EventSim::Workspace& workspace() const { return ws_; }
 
  private:

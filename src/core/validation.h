@@ -47,8 +47,11 @@ std::vector<ScapReport> scap_profile_patterns(const SocDesign& soc,
 /// patterns whose *bound* exceeds the threshold are event-simulated for the
 /// exact verdict. Because the bound is sound (bound <= threshold implies
 /// exact <= threshold), the verdicts are identical to exactly screening every
-/// pattern, and bit-identical at any SCAP_THREADS; the statically-cleared
-/// majority just never pays for a simulation.
+/// pattern, and bit-identical at any SCAP_THREADS; the patterns the bound
+/// clears just never pay for a simulation. How many it clears depends on the
+/// fill: about half of a quiet-filled set (0.54 of paper_flow's power-aware
+/// set and 0.42 of repair_retrofit's repaired set in scapbench at seed 2007),
+/// none of a random-fill set.
 struct ScapScreenResult {
   std::vector<std::uint8_t> violates;  ///< exact per-pattern verdicts
   std::size_t statically_clean = 0;    ///< tier-1 proven clean (sim skipped)

@@ -18,9 +18,9 @@ thread_local bool tl_on_worker = false;
 
 // SCAP_THREADS is sampled exactly once, the first time any caller needs the
 // default concurrency (normally the first ThreadPool::global() call, i.e.
-// process startup). Long-lived processes such as the serve daemon therefore
-// have a thread count fixed at startup: later environment mutation -- or a
-// set_global_concurrency(0) reset -- cannot change it.
+// process startup). A process therefore has a thread count fixed at
+// startup: later environment mutation -- or a set_global_concurrency(0)
+// reset -- cannot change it.
 std::size_t env_concurrency() {
   static const std::size_t cached = [] {
     if (const char* env = util::env_cstr("SCAP_THREADS")) {

@@ -1,39 +1,19 @@
-// Byte-level wire primitives for the serve protocol (serve/protocol.h).
-//
-// Everything on the wire is little-endian and length-prefixed. WireWriter
-// appends scalars to a growing byte buffer; WireReader consumes them with
-// hard bounds checks -- any out-of-range read latches a failure flag and
-// yields zeros instead of touching memory, so a truncated or hostile payload
-// can never crash the decoder (the framing fuzz tests in tests/serve_test.cpp
-// drive exactly that property under ASan).
+// The benchmark's output-digest encoder: a little-endian byte stream
+// (WireWriter) hashed with FNV-1a 64 (fnv1a64). scapbench/scapbench.cpp
+// encodes every workload's outputs with it and compares the digests for
+// equality only, so the encoded bytes must never change. The file stays at
+// this path because scapbench/ includes it from here.
 #pragma once
 
 #include <bit>
 #include <cstdint>
-#include <cstring>
 #include <span>
-#include <string>
 #include <string_view>
 #include <vector>
 
 namespace scap::serve {
 
-/// Frame magic: "SCP1" read as a little-endian u32.
-inline constexpr std::uint32_t kMagic = 0x31504353u;
-/// Hard cap on a single frame's payload; larger lengths are rejected before
-/// any allocation (never trust a length field).
-inline constexpr std::uint32_t kMaxPayload = 32u << 20;
-/// Caps inside a request payload.
-inline constexpr std::uint32_t kMaxDesignBytes = 1u << 20;
-inline constexpr std::uint32_t kMaxPatterns = 1u << 20;
-inline constexpr std::uint32_t kMaxVars = 1u << 20;
-
-/// Frame header: magic, opcode, flags (reserved, must be 0), payload length.
-inline constexpr std::size_t kHeaderBytes = 12;
-
-/// FNV-1a 64-bit -- the journal's response checksum and the design-cache
-/// content hash. Stable, dependency-free, good enough for content addressing
-/// (not cryptographic).
+/// FNV-1a 64-bit. Stable and dependency-free; not cryptographic.
 inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
   std::uint64_t h = 0xcbf29ce484222325ull;
   for (std::uint8_t b : data) {
@@ -43,16 +23,9 @@ inline std::uint64_t fnv1a64(std::span<const std::uint8_t> data) noexcept {
   return h;
 }
 
-inline std::uint64_t fnv1a64(std::string_view s) noexcept {
-  return fnv1a64(std::span<const std::uint8_t>(
-      reinterpret_cast<const std::uint8_t*>(s.data()), s.size()));
-}
-
 /// Append-only little-endian encoder.
 class WireWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { le(v, 2); }
   void u32(std::uint32_t v) { le(v, 4); }
   void u64(std::uint64_t v) { le(v, 8); }
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
@@ -66,7 +39,6 @@ class WireWriter {
   }
 
   const std::vector<std::uint8_t>& data() const { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
 
  private:
   void le(std::uint64_t v, int n) {
@@ -76,66 +48,6 @@ class WireWriter {
   }
 
   std::vector<std::uint8_t> buf_;
-};
-
-/// Bounds-checked little-endian decoder. After any failed read, ok() is
-/// false and every subsequent read returns 0 / empty.
-class WireReader {
- public:
-  explicit WireReader(std::span<const std::uint8_t> data) : data_(data) {}
-
-  std::uint8_t u8() { return static_cast<std::uint8_t>(le(1)); }
-  std::uint16_t u16() { return static_cast<std::uint16_t>(le(2)); }
-  std::uint32_t u32() { return static_cast<std::uint32_t>(le(4)); }
-  std::uint64_t u64() { return le(8); }
-  double f64() { return std::bit_cast<double>(u64()); }
-
-  /// u32 length + raw bytes, rejecting lengths above `max_len`.
-  std::string str32(std::uint32_t max_len) {
-    const std::uint32_t n = u32();
-    if (fail_ || n > max_len || n > remaining()) {
-      fail_ = true;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_.data() + off_), n);
-    off_ += n;
-    return s;
-  }
-
-  /// Raw view of the next n bytes (valid while the underlying buffer lives).
-  std::span<const std::uint8_t> bytes(std::size_t n) {
-    if (fail_ || n > remaining()) {
-      fail_ = true;
-      return {};
-    }
-    auto out = data_.subspan(off_, n);
-    off_ += n;
-    return out;
-  }
-
-  std::size_t remaining() const { return data_.size() - off_; }
-  bool ok() const { return !fail_; }
-  /// Fully consumed with no failed reads -- decoders require this so trailing
-  /// garbage is an error, not silently ignored.
-  bool done() const { return !fail_ && off_ == data_.size(); }
-
- private:
-  std::uint64_t le(int n) {
-    if (fail_ || static_cast<std::size_t>(n) > remaining()) {
-      fail_ = true;
-      return 0;
-    }
-    std::uint64_t v = 0;
-    for (int i = 0; i < n; ++i) {
-      v |= static_cast<std::uint64_t>(data_[off_ + i]) << (8 * i);
-    }
-    off_ += static_cast<std::size_t>(n);
-    return v;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t off_ = 0;
-  bool fail_ = false;
 };
 
 }  // namespace scap::serve

@@ -43,7 +43,6 @@ class BatchSim {
                     std::size_t words = 1);
 
   const LevelizedView& view() const { return *view_; }
-  std::shared_ptr<const LevelizedView> shared_view() const { return view_; }
   std::size_t words() const { return words_; }
   std::size_t lanes() const { return words_ * 64; }
 

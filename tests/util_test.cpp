@@ -4,8 +4,11 @@
 #include <array>
 #include <cstdint>
 #include <numeric>
+#include <span>
+#include <string_view>
 #include <vector>
 
+#include "serve/wire.h"
 #include "util/geometry.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -266,6 +269,33 @@ TEST(TextTable, TooManyCellsThrows) {
 TEST(TextTable, NumFormatsFixedPrecision) {
   EXPECT_EQ(TextTable::num(3.14159, 2), "3.14");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
+}
+
+// The benchmark digest hashes WireWriter's bytes with fnv1a64, so both the
+// hash and the byte layout are pinned here.
+std::span<const std::uint8_t> as_bytes(std::string_view s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+TEST(Wire, Fnv1a64KnownValue) {
+  // Standard FNV-1a 64 vectors: "" is the offset basis, "a" one round on.
+  EXPECT_EQ(serve::fnv1a64(as_bytes("")), 0xcbf29ce484222325ull);
+  EXPECT_EQ(serve::fnv1a64(as_bytes("a")), 0xaf63dc4c8601ec8cull);
+}
+
+TEST(Wire, WriterLittleEndianLayout) {
+  serve::WireWriter w;
+  w.u64(0x0123456789ABCDEFull);
+  w.f64(-1.25e-3);
+  w.str32("hi");
+  const std::vector<std::uint8_t> raw{1, 2, 3};
+  w.bytes(raw);
+  const std::vector<std::uint8_t> want{
+      0xEF, 0xCD, 0xAB, 0x89, 0x67, 0x45, 0x23, 0x01,  // u64
+      0x7B, 0x14, 0xAE, 0x47, 0xE1, 0x7A, 0x54, 0xBF,  // f64 bits
+      0x02, 0x00, 0x00, 0x00, 'h', 'i',                // str32
+      1, 2, 3};                                        // bytes
+  EXPECT_EQ(w.data(), want);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -127,12 +128,12 @@ int main(int argc, char** argv) {
 
   std::function<void()> body;
   if (kernel == "faultsim") {
-    // Share the levelized view across repeats (profiling the grade, not the
-    // one-time schedule build); `--words` picks the batch width.
-    auto view = scap::LevelizedView::build(nl);
-    body = [&exp, &pats, view, words] {
-      scap::FaultSimulator fsim(exp.soc.netlist, exp.ctx, view, words);
-      volatile std::size_t n = fsim.grade(pats.patterns, exp.faults).size();
+    // One simulator across repeats (profiling the grade, not the one-time
+    // schedule build); `--words` picks the batch width.
+    auto fsim = std::make_shared<scap::FaultSimulator>(nl, exp.ctx);
+    fsim->set_batch_words(words);
+    body = [&exp, &pats, fsim] {
+      volatile std::size_t n = fsim->grade(pats.patterns, exp.faults).size();
       (void)n;
     };
   } else if (kernel == "grid") {
