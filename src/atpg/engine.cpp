@@ -85,6 +85,24 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     return p;
   };
 
+  // Per-block care-bit budget for dynamic compaction.
+  std::vector<std::size_t> block_flops(nl.block_count(), 0);
+  for (FlopId f = 0; f < nl.num_flops(); ++f) ++block_flops[nl.flop(f).block];
+  auto within_care_budget = [&](const TestCube& c) {
+    if (opt.max_block_care_fraction >= 1.0) return true;
+    std::vector<std::size_t> care(nl.block_count(), 0);
+    for (FlopId f = 0; f < nl.num_flops(); ++f) {
+      if (c.s1[f] != kBitX) ++care[nl.flop(f).block];
+    }
+    for (BlockId b = 0; b < nl.block_count(); ++b) {
+      if (block_flops[b] == 0) continue;
+      const double frac = static_cast<double>(care[b]) /
+                          static_cast<double>(block_flops[b]);
+      if (frac > opt.max_block_care_fraction) return false;
+    }
+    return true;
+  };
+
   std::vector<Pattern> buffer;
   std::vector<std::size_t> buffer_care_bits;
 
@@ -155,28 +173,14 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     }
 
     // Dynamic compaction: try to pack nearby undetected targets in as well,
-    // under the per-block care-bit budget.
-    std::vector<std::size_t> block_flops(nl.block_count(), 0);
-    for (FlopId f = 0; f < nl.num_flops(); ++f) ++block_flops[nl.flop(f).block];
-    auto within_care_budget = [&](const TestCube& c) {
-      if (opt.max_block_care_fraction >= 1.0) return true;
-      std::vector<std::size_t> care(nl.block_count(), 0);
-      for (FlopId f = 0; f < nl.num_flops(); ++f) {
-        if (c.s1[f] != kBitX) ++care[nl.flop(f).block];
-      }
-      for (BlockId b = 0; b < nl.block_count(); ++b) {
-        if (block_flops[b] == 0) continue;
-        const double frac = static_cast<double>(care[b]) /
-                            static_cast<double>(block_flops[b]);
-        if (frac > opt.max_block_care_fraction) return false;
-      }
-      return true;
-    };
+    // under the per-block care-bit budget (re-checked only when a merge
+    // grows the cube).
     std::uint32_t merged = 0;
     std::uint32_t scanned = 0;
+    bool in_budget = within_care_budget(cube);
     for (std::size_t j = target + 1;
          j < faults.size() && merged < opt.compaction_limit &&
-         scanned < opt.compaction_scan && within_care_budget(cube);
+         scanned < opt.compaction_scan && in_budget;
          ++j) {
       if (!targetable[j] || tried[j] || st[j] != FaultStatus::kUndetected) {
         continue;
@@ -188,6 +192,7 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
         tried[j] = 1;
         ++merged;
         ++run_merges;
+        in_budget = within_care_budget(cube);
       }
     }
 

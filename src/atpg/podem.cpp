@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
+#include <string>
 
 #include "obs/metrics.h"
 
@@ -10,6 +11,11 @@ namespace scap {
 
 Podem::Podem(const Netlist& nl, const TestContext& ctx, PodemOptions opt)
     : nl_(&nl), ctx_(&ctx), opt_(opt) {
+  obs::Registry& reg = obs::Registry::global();
+  generates_ctr_ = &reg.counter("atpg.podem_generates");
+  extends_ctr_ = &reg.counter("atpg.podem_extends");
+  implications_ctr_ = &reg.counter("atpg.implications");
+  backtracks_ctr_ = &reg.counter("atpg.backtracks");
   s1_.assign(ctx.num_vars(), kBitX);
   if (ctx.los()) {
     // Per variable: the flop it feeds at the launch shift (linear chains
@@ -34,45 +40,60 @@ Podem::Podem(const Netlist& nl, const TestContext& ctx, PodemOptions opt)
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
     if (ctx.active[f]) ++obs_weight_[nl.flop(f).d];
   }
+  xpath_epoch_.assign(nl.num_nets(), 0);
+  xpath_ok_.assign(nl.num_nets(), 0);
   rebuild_planes();
 }
 
-void Podem::rebuild_planes() {
+void Podem::compute_planes(std::vector<V3>& f1, std::vector<V3>& g2,
+                           std::vector<V3>& x2, bool with_fault) const {
   const Netlist& nl = *nl_;
+  const bool stem = with_fault && fault_.site == FaultSite::kStem;
+  const bool branch = with_fault && fault_.site == FaultSite::kGateBranch;
+  auto bit = [&](std::uint32_t var) {
+    return s1_[var] == kBitX ? V3::x() : V3::of(s1_[var]);
+  };
+  auto set2 = [&](NetId n, V3 good, V3 faulty) {
+    g2[n] = good;
+    x2[n] = stem && n == fault_.net ? stuck_ : faulty;
+  };
   for (std::size_t i = 0; i < nl.primary_inputs().size(); ++i) {
     const NetId n = nl.primary_inputs()[i];
-    f1_[n] = g2_[n] = x2_[n] = V3::of(ctx_->pi_values[i]);
+    f1[n] = V3::of(ctx_->pi_values[i]);
+    set2(n, f1[n], f1[n]);
   }
-  for (FlopId f = 0; f < nl.num_flops(); ++f) {
-    const NetId q = nl.flop(f).q;
-    f1_[q] = s1_[f] == kBitX ? V3::x() : V3::of(s1_[f]);
-  }
+  for (FlopId f = 0; f < nl.num_flops(); ++f) f1[nl.flop(f).q] = bit(f);
   std::array<V3, 4> ins{};
+  std::array<V3, 4> fins{};
   for (GateId g : nl.topo_order()) {
     const auto in_nets = nl.gate_inputs(g);
-    for (std::size_t i = 0; i < in_nets.size(); ++i) ins[i] = f1_[in_nets[i]];
-    f1_[nl.gate(g).out] =
+    for (std::size_t i = 0; i < in_nets.size(); ++i) ins[i] = f1[in_nets[i]];
+    f1[nl.gate(g).out] =
         eval_v3(nl.gate(g).type, std::span<const V3>(ins.data(), in_nets.size()));
   }
   for (FlopId f = 0; f < nl.num_flops(); ++f) {
-    const NetId q = nl.flop(f).q;
-    if (ctx_->los()) {
-      const std::uint8_t src = s1_[ctx_->los_pred[f]];
-      g2_[q] = src == kBitX ? V3::x() : V3::of(src);
-    } else {
-      g2_[q] = ctx_->active[f] ? f1_[nl.flop(f).d]
-                               : (s1_[f] == kBitX ? V3::x() : V3::of(s1_[f]));
-    }
-    x2_[q] = g2_[q];
+    const V3 v = ctx_->los()        ? bit(ctx_->los_pred[f])
+                 : ctx_->active[f] ? f1[nl.flop(f).d]
+                                   : bit(f);
+    set2(nl.flop(f).q, v, v);
   }
   for (GateId g : nl.topo_order()) {
     const auto in_nets = nl.gate_inputs(g);
-    for (std::size_t i = 0; i < in_nets.size(); ++i) ins[i] = g2_[in_nets[i]];
-    const NetId out = nl.gate(g).out;
-    g2_[out] =
-        eval_v3(nl.gate(g).type, std::span<const V3>(ins.data(), in_nets.size()));
-    x2_[out] = g2_[out];
+    for (std::size_t i = 0; i < in_nets.size(); ++i) {
+      ins[i] = g2[in_nets[i]];
+      fins[i] = branch && g == fault_.load && i == fault_.pin
+                    ? stuck_
+                    : x2[in_nets[i]];
+    }
+    const CellType t = nl.gate(g).type;
+    set2(nl.gate(g).out,
+         eval_v3(t, std::span<const V3>(ins.data(), in_nets.size())),
+         eval_v3(t, std::span<const V3>(fins.data(), in_nets.size())));
   }
+}
+
+void Podem::rebuild_planes() {
+  compute_planes(f1_, g2_, x2_, false);
   std::fill(has_effect_.begin(), has_effect_.end(), 0);
   effect_obs_ = 0;
   x2_touched_list_.clear();
@@ -94,6 +115,7 @@ void Podem::enqueue(Frame fr, GateId g) {
 
 void Podem::update_f1(NetId n, V3 v) {
   if (f1_[n] == v) return;
+  trail_.push_back(TrailEntry{n, kF1, f1_[n], V3::x(), 0});
   f1_[n] = v;
   for (GateId g : nl_->fanout_gates(n)) enqueue(kF1, g);
   if (ctx_->los()) return;  // LOS: the launch shift, not D capture, sets S2
@@ -107,6 +129,7 @@ void Podem::update_f2(NetId n, V3 good, V3 faulty) {
     faulty = stuck_;
   }
   if (g2_[n] == good && x2_[n] == faulty) return;
+  trail_.push_back(TrailEntry{n, kF2, g2_[n], x2_[n], has_effect_[n]});
   g2_[n] = good;
   x2_[n] = faulty;
   if (faulty != good && !x2_touched_[n]) {
@@ -227,6 +250,10 @@ void Podem::install_fault(const TdfFault& f) {
       break;  // captured directly; no propagation machinery needed
   }
   propagate();
+  // The trail starts at the installed fault: older entries hold the previous
+  // fault's frame-2 planes.
+  trail_.clear();
+  trail_floor_ = stack_.size();
 }
 
 bool Podem::detected() const {
@@ -240,17 +267,80 @@ bool Podem::detected() const {
   return effect_obs_ > 0;
 }
 
+bool Podem::x_path(NetId start) {
+  auto verdict = [&](NetId n, bool ok) {
+    xpath_epoch_[n] = epoch_;
+    xpath_ok_[n] = ok ? 1 : 0;
+    return ok;
+  };
+  // A net can still carry the effect if it already does or either frame-2
+  // value is open; known, equal values block for good.
+  auto open = [&](NetId n) {
+    return has_effect_[n] || g2_[n].is_x() || x2_[n].is_x();
+  };
+  if (xpath_epoch_[start] == epoch_) return xpath_ok_[start] != 0;
+  if (!open(start)) return verdict(start, false);
+  if (obs_weight_[start] > 0) return verdict(start, true);
+  // Iterative DFS over fanout gates (frame 2 is acyclic). A net's verdict is
+  // recorded only once its whole fanout is explored, or on reaching an
+  // observed D, when every net on the stack has a path too.
+  xstack_.clear();
+  xstack_.push_back(XPathFrame{start, 0});
+  while (!xstack_.empty()) {
+    const NetId n = xstack_.back().net;
+    const auto fo = nl_->fanout_gates(n);
+    if (xstack_.back().next == fo.size()) {
+      verdict(n, false);
+      xstack_.pop_back();
+      continue;
+    }
+    const NetId m = nl_->gate(fo[xstack_.back().next++]).out;
+    bool reached;
+    if (xpath_epoch_[m] == epoch_) {
+      reached = xpath_ok_[m] != 0;
+    } else if (!open(m)) {
+      reached = verdict(m, false);
+    } else if (obs_weight_[m] > 0) {
+      reached = verdict(m, true);
+    } else {
+      xstack_.push_back(XPathFrame{m, 0});
+      continue;
+    }
+    if (reached) {
+      for (const XPathFrame& fr : xstack_) verdict(fr.net, true);
+      return true;
+    }
+  }
+  return false;
+}
+
 std::optional<Podem::Objective> Podem::objective() {
   const NetId site = fault_.net;
   const V3 a1 = f1_[site];
   if (!a1.is_x() && a1.value() != fault_.v1()) return std::nullopt;
   const V3 a2 = g2_[site];
   if (!a2.is_x() && a2.value() != fault_.v2()) return std::nullopt;
-  if (a1.is_x()) return Objective{kF1, site, fault_.v1()};
-  if (a2.is_x()) return Objective{kF2, site, fault_.v2()};
   if (fault_.site == FaultSite::kFlopBranch) {
-    // Activation complete; if not already detected the load flop is held.
+    // Captured directly: activation is all there is; once complete and not
+    // detected, the load flop is held.
+    if (a1.is_x()) return Objective{kF1, site, fault_.v1()};
+    if (a2.is_x()) return Objective{kF2, site, fault_.v2()};
     return std::nullopt;
+  }
+  // X-path check: the effect must still be able to reach an observed D from
+  // the site (activation) or from a D-frontier gate (propagation). Verdicts
+  // are memoised for this call only; the planes change between calls.
+  if (++epoch_ == 0) {
+    std::fill(xpath_epoch_.begin(), xpath_epoch_.end(), 0);
+    epoch_ = 1;
+  }
+  if (a1.is_x() || a2.is_x()) {
+    const NetId from = fault_.site == FaultSite::kGateBranch
+                           ? nl_->gate(fault_.load).out
+                           : site;
+    if (!x_path(from)) return std::nullopt;
+    if (a1.is_x()) return Objective{kF1, site, fault_.v1()};
+    return Objective{kF2, site, fault_.v2()};
   }
 
   // Propagation phase: scan (and compact) the D-frontier, preferring gates
@@ -332,7 +422,7 @@ std::optional<Podem::Objective> Podem::objective() {
       case GateClass::kTie:
         break;  // nothing to justify; output follows automatically
     }
-    if (obj) {
+    if (obj && x_path(out)) {
       best = obj;
       best_level = nl_->gate(g).level;
     }
@@ -443,11 +533,46 @@ std::optional<std::pair<FlopId, int>> Podem::backtrace(Objective obj) const {
   }
 }
 
-void Podem::pop_to(std::size_t baseline) {
-  while (stack_.size() > baseline) {
-    set_s1(stack_.back().flop, kBitX);
-    stack_.pop_back();
+void Podem::decide(FlopId f, int v, bool flipped) {
+  stack_.push_back(
+      Decision{f, static_cast<std::uint8_t>(v), flipped, trail_.size()});
+  set_s1(f, v);
+}
+
+void Podem::undo_to(std::size_t mark) {
+  while (trail_.size() > mark) {
+    const TrailEntry& e = trail_.back();
+    if (e.frame == kF1) {
+      f1_[e.net] = e.a;
+    } else {
+      g2_[e.net] = e.a;
+      x2_[e.net] = e.b;
+      if (has_effect_[e.net] != e.had_effect) {
+        has_effect_[e.net] = e.had_effect;
+        effect_obs_ += (e.had_effect ? 1 : -1) *
+                       static_cast<std::int64_t>(obs_weight_[e.net]);
+      }
+    }
+    trail_.pop_back();
   }
+}
+
+// Undo never touches the D-frontier: un-assigning a bit can only turn values
+// back into X, so no effect appears that the frontier lacks, and objective()
+// drops entries that went stale.
+void Podem::pop_decision() {
+  const Decision& d = stack_.back();
+  if (stack_.size() > trail_floor_) {
+    undo_to(d.mark);
+    s1_[d.flop] = kBitX;
+  } else {
+    set_s1(d.flop, kBitX);
+  }
+  stack_.pop_back();
+}
+
+void Podem::pop_to(std::size_t baseline) {
+  while (stack_.size() > baseline) pop_decision();
 }
 
 TestCube Podem::cube() const {
@@ -480,9 +605,7 @@ PodemStatus Podem::run(std::size_t baseline, TestCube& out) {
     std::optional<std::pair<FlopId, int>> dec;
     if (obj) dec = backtrace(*obj);
     if (dec) {
-      stack_.push_back(Decision{dec->first,
-                                static_cast<std::uint8_t>(dec->second), false});
-      set_s1(dec->first, dec->second);
+      decide(dec->first, dec->second, false);
       continue;
     }
     // Backtrack: flip the most recent unflipped decision.
@@ -497,8 +620,7 @@ PodemStatus Podem::run(std::size_t baseline, TestCube& out) {
         flipped = true;
         break;
       }
-      set_s1(d.flop, kBitX);
-      stack_.pop_back();
+      pop_decision();
     }
     if (!flipped) {
       return baseline == 0 ? PodemStatus::kUntestable : PodemStatus::kAborted;
@@ -514,14 +636,37 @@ PodemStatus Podem::run(std::size_t baseline, TestCube& out) {
 bool Podem::probe(const TdfFault& fault, std::span<const std::uint8_t> s1) {
   pop_to(0);
   install_fault(fault);
-  for (FlopId f = 0; f < s1.size(); ++f) {
-    stack_.push_back(Decision{f, s1[f], true});
-    set_s1(f, s1[f]);
-  }
+  for (FlopId f = 0; f < s1.size(); ++f) decide(f, s1[f], true);
   const bool hit = detected();
   pop_to(0);
   reset_fault_plane();
   return hit;
+}
+
+std::string Podem::self_check() const {
+  const std::size_t nn = nl_->num_nets();
+  std::vector<V3> f1(nn), g2(nn), x2(nn);
+  compute_planes(f1, g2, x2, fault_installed_);
+  std::int64_t effect_obs = 0;
+  for (NetId n = 0; n < nn; ++n) {
+    const char* plane = f1[n] != f1_[n]   ? "frame-1"
+                        : g2[n] != g2_[n] ? "frame-2 good"
+                        : x2[n] != x2_[n] ? "frame-2 faulty"
+                                          : nullptr;
+    const std::string& name = nl_->net_name(n);
+    if (plane) return std::string(plane) + " value of net " + name;
+    const bool eff = !g2[n].is_x() && !x2[n].is_x() && g2[n] != x2[n];
+    if (eff != (has_effect_[n] != 0)) return "effect flag of net " + name;
+    if (!eff) continue;
+    effect_obs += obs_weight_[n];
+    // X-path soundness rests on every gate fed by an effect being in the
+    // D-frontier.
+    for (GateId g : nl_->fanout_gates(n)) {
+      if (!in_dfrontier_[g]) return "D-frontier misses a load of net " + name;
+    }
+  }
+  if (effect_obs != effect_obs_) return "observed-effect count";
+  return {};
 }
 
 PodemStatus Podem::generate(const TdfFault& fault, TestCube& out) {
@@ -529,9 +674,11 @@ PodemStatus Podem::generate(const TdfFault& fault, TestCube& out) {
   pop_to(0);
   install_fault(fault);
   const PodemStatus st = run(0, out);
-  obs::count("atpg.podem_generates");
-  obs::count("atpg.implications", implications_ - impl0);
-  obs::count("atpg.backtracks", backtracks_ - bt0);
+  if (obs::metrics_enabled()) {
+    generates_ctr_->add(1);
+    implications_ctr_->add(implications_ - impl0);
+    backtracks_ctr_->add(backtracks_ - bt0);
+  }
   return st;
 }
 
@@ -541,9 +688,11 @@ PodemStatus Podem::extend(const TdfFault& fault, TestCube& out) {
   install_fault(fault);
   const PodemStatus st = run(baseline, out);
   if (st != PodemStatus::kDetected) pop_to(baseline);
-  obs::count("atpg.podem_extends");
-  obs::count("atpg.implications", implications_ - impl0);
-  obs::count("atpg.backtracks", backtracks_ - bt0);
+  if (obs::metrics_enabled()) {
+    extends_ctr_->add(1);
+    implications_ctr_->add(implications_ - impl0);
+    backtracks_ctr_->add(backtracks_ - bt0);
+  }
   return st;
 }
 

@@ -9,14 +9,21 @@
 //
 // Implication is event-driven: changing one scan bit repropagates only the
 // affected cone (across the frame boundary through active flops), which keeps
-// dynamic compaction affordable. extend() continues from the current
-// assignments to target a second fault without disturbing bits already
-// committed -- that is what lets the ATPG engine pack many faults per pattern
-// the way the commercial greedy tools the paper wraps do.
+// dynamic compaction affordable. Undoing a decision does not re-imply: every
+// plane write after the fault is installed is logged on a trail, and popping
+// a decision restores the trail to the decision's mark. Searches that cannot
+// succeed fail fast: when no X-path (frame-2 nets still undetermined or
+// already carrying the effect) links the fault site or any D-frontier gate
+// to an observed flop D, there is no objective and the search backtracks at
+// once. extend() continues from the current assignments to target a second
+// fault without disturbing bits already committed -- that is what lets the
+// ATPG engine pack many faults per pattern the way the commercial greedy
+// tools the paper wraps do.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "atpg/context.h"
@@ -25,6 +32,10 @@
 #include "netlist/netlist.h"
 
 namespace scap {
+
+namespace obs {
+class Counter;
+}
 
 enum class PodemStatus : std::uint8_t { kDetected, kUntestable, kAborted };
 
@@ -56,6 +67,15 @@ class Podem {
   /// so this must agree with the fault simulator -- tests rely on that.
   bool probe(const TdfFault& fault, std::span<const std::uint8_t> s1);
 
+  /// White-box invariant check: recompute every plane from scratch for the
+  /// current assignments and installed fault, and compare with the
+  /// incrementally maintained planes, effect flags, observed-effect count
+  /// and D-frontier coverage. Returns an empty string when consistent, else
+  /// what differs first.
+  std::string self_check() const;
+
+  /// Forward implications (decisions and flips); trail undo re-implies
+  /// nothing and is not counted.
   std::uint64_t implications() const { return implications_; }
   std::uint64_t backtracks() const { return backtracks_; }
 
@@ -71,9 +91,20 @@ class Podem {
     FlopId flop;
     std::uint8_t value;
     bool flipped;
+    std::size_t mark;  ///< trail size before the decision was implied
+  };
+  /// One overwritten plane entry: the old frame-1 value in `a`, or the old
+  /// frame-2 good/faulty values in `a`/`b` plus the old effect flag.
+  struct TrailEntry {
+    NetId net;
+    Frame frame;
+    V3 a, b;
+    std::uint8_t had_effect;
   };
 
   // -- plane maintenance ----------------------------------------------------
+  void compute_planes(std::vector<V3>& f1, std::vector<V3>& g2,
+                      std::vector<V3>& x2, bool with_fault) const;
   void rebuild_planes();
   void set_s1(FlopId f, int v);  ///< v in {0,1} or kBitX; propagates
   void update_f1(NetId n, V3 v);
@@ -91,8 +122,12 @@ class Podem {
   // -- search -----------------------------------------------------------------
   PodemStatus run(std::size_t baseline, TestCube& out);
   std::optional<Objective> objective();
+  bool x_path(NetId start);
   std::optional<std::pair<FlopId, int>> backtrace(Objective obj) const;
+  void decide(FlopId f, int v, bool flipped);
+  void pop_decision();
   void pop_to(std::size_t baseline);
+  void undo_to(std::size_t mark);
 
   const Netlist* nl_;
   const TestContext* ctx_;
@@ -110,6 +145,17 @@ class Podem {
   std::vector<GateId> dfrontier_;
   std::vector<std::uint8_t> in_dfrontier_;
 
+  // X-path verdicts, valid while xpath_epoch_[net] == epoch_ (one
+  // objective() call).
+  struct XPathFrame {
+    NetId net;
+    std::size_t next;  ///< next fanout gate to explore
+  };
+  std::vector<std::uint32_t> xpath_epoch_;
+  std::vector<std::uint8_t> xpath_ok_;
+  std::uint32_t epoch_ = 0;
+  std::vector<XPathFrame> xstack_;
+
   // Bucketed worklist ordered by (frame, level).
   std::vector<std::vector<GateId>> buckets_;
   std::vector<std::uint8_t> queued_;  ///< per frame*num_gates+gate
@@ -121,9 +167,19 @@ class Podem {
   V3 stuck_ = V3::x();
 
   std::vector<Decision> stack_;
+  std::vector<TrailEntry> trail_;
+  /// Decisions below this stack index predate the installed fault: their
+  /// trail entries were cleared with the old fault, so they undo by
+  /// propagation.
+  std::size_t trail_floor_ = 0;
   std::uint64_t implications_ = 0;
   std::uint64_t backtracks_ = 0;
   mutable std::size_t backtrace_salt_ = 0;  ///< path diversification counter
+
+  obs::Counter* generates_ctr_ = nullptr;
+  obs::Counter* extends_ctr_ = nullptr;
+  obs::Counter* implications_ctr_ = nullptr;
+  obs::Counter* backtracks_ctr_ = nullptr;
 };
 
 }  // namespace scap

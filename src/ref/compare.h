@@ -55,7 +55,7 @@ inline bool close_enough(double a, double b, double rel = kEnergyRelTol,
 
 /// One optimized-vs-reference mismatch, with enough context to debug it.
 struct Divergence {
-  std::string oracle;  ///< "eventsim" | "scap" | "grade" | "grid"
+  std::string oracle;  ///< "eventsim" | "scap" | "grade" | "grid" | "atpg"
   std::string detail;  ///< human-readable what/where/by-how-much
   std::size_t pattern = static_cast<std::size_t>(-1);  ///< index, if per-pattern
 };

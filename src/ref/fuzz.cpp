@@ -55,6 +55,22 @@ std::vector<Pattern> make_patterns(const Scenario& sc, const TestContext& ctx) {
   return out;
 }
 
+/// The scenario's collapsed-fault sample, shared by the grade and ATPG checks.
+std::vector<TdfFault> sample_faults(const Scenario& sc, const Netlist& nl) {
+  std::vector<TdfFault> faults = collapse_faults(nl, enumerate_faults(nl));
+  if (sc.fault_sample == 0 || sc.fault_sample >= faults.size()) return faults;
+  Rng fr(sc.fault_seed);
+  std::vector<std::size_t> idx(faults.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  fr.shuffle(idx);
+  std::vector<TdfFault> sample;
+  sample.reserve(sc.fault_sample);
+  for (std::size_t k = 0; k < sc.fault_sample; ++k) {
+    sample.push_back(faults[idx[k]]);
+  }
+  return sample;
+}
+
 }  // namespace
 
 const char* injected_bug_name(InjectedBug b) {
@@ -154,19 +170,7 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
     }
 
     if (sc.check_grade) {
-      std::vector<TdfFault> faults = collapse_faults(nl, enumerate_faults(nl));
-      if (sc.fault_sample > 0 && sc.fault_sample < faults.size()) {
-        Rng fr(sc.fault_seed);
-        std::vector<std::size_t> idx(faults.size());
-        std::iota(idx.begin(), idx.end(), std::size_t{0});
-        fr.shuffle(idx);
-        std::vector<TdfFault> sample;
-        sample.reserve(sc.fault_sample);
-        for (std::size_t k = 0; k < sc.fault_sample; ++k) {
-          sample.push_back(faults[idx[k]]);
-        }
-        faults = std::move(sample);
-      }
+      const std::vector<TdfFault> faults = sample_faults(sc, nl);
       FaultSimulator fs(nl, ctx);
       if (valid_batch_words(sc.batch_words)) {
         fs.set_batch_words(sc.batch_words);
@@ -182,6 +186,14 @@ ScenarioResult run_scenario(const Scenario& sc, InjectedBug inject) {
       std::string why;
       if (!compare_grade(graded, ref_graded, &why)) {
         res.divergences.push_back({"grade", why, kNoPattern});
+      }
+    }
+
+    if (sc.check_atpg) {
+      AtpgCheck ac = check_atpg(nl, ctx, sample_faults(sc, nl), sc.fault_seed);
+      res.atpg = ac.coverage;
+      for (Divergence& d : ac.divergences) {
+        res.divergences.push_back(std::move(d));
       }
     }
 
@@ -289,6 +301,7 @@ ShrinkResult shrink_scenario(const Scenario& start, InjectedBug inject) {
       if (cur.check_scap) push([](Scenario& c) { c.check_scap = false; });
       if (cur.check_grade) push([](Scenario& c) { c.check_grade = false; });
       if (cur.check_grid) push([](Scenario& c) { c.check_grid = false; });
+      if (cur.check_atpg) push([](Scenario& c) { c.check_atpg = false; });
     }
     // Bisect the pattern stream from both ends, then peel single patterns.
     if (cur.num_patterns > 1) {
@@ -332,7 +345,7 @@ ShrinkResult shrink_scenario(const Scenario& start, InjectedBug inject) {
         push([](Scenario& c) { c.grid_solver = 2; });
       }
     }
-    if (cur.check_grade && cur.fault_sample > 1) {
+    if ((cur.check_grade || cur.check_atpg) && cur.fault_sample > 1) {
       push([](Scenario& c) { c.fault_sample /= 2; });
     }
     if (cur.check_grade && cur.batch_words != 1) {
@@ -368,6 +381,7 @@ FuzzStats run_fuzz(const FuzzOptions& opt, std::ostream* log,
     const Scenario sc = Scenario::random(seed);
     const ScenarioResult r = run_scenario(sc, inject);
     ++st.executed;
+    st.atpg.add(r.atpg);
     if (r.ok()) {
       if (log && (i + 1) % 50 == 0) {
         *log << "[scap_fuzz] " << (i + 1) << "/" << opt.iterations
@@ -394,7 +408,8 @@ FuzzStats run_fuzz(const FuzzOptions& opt, std::ostream* log,
              << fr.scenario.num_patterns << " pattern(s), checks sim="
              << fr.scenario.check_sim << " scap=" << fr.scenario.check_scap
              << " grade=" << fr.scenario.check_grade
-             << " grid=" << fr.scenario.check_grid << "\n";
+             << " grid=" << fr.scenario.check_grid
+             << " atpg=" << fr.scenario.check_atpg << "\n";
       }
     }
     if (!opt.corpus_dir.empty()) {

@@ -19,6 +19,7 @@
 
 #include "atpg/context.h"
 #include "atpg/pattern.h"
+#include "ref/atpg_check.h"
 #include "ref/compare.h"
 #include "ref/scenario.h"
 #include "soc/generator.h"
@@ -52,6 +53,7 @@ const char* injected_bug_name(InjectedBug b);
 
 struct ScenarioResult {
   std::vector<Divergence> divergences;  ///< empty = all enabled oracles agree
+  AtpgCoverage atpg;  ///< all zero when check_atpg is off
   bool ok() const { return divergences.empty(); }
 };
 
@@ -90,6 +92,7 @@ struct FailureReport {
 
 struct FuzzStats {
   std::size_t executed = 0;  ///< scenarios run (shrinking excluded)
+  AtpgCoverage atpg;         ///< summed over the executed scenarios
   std::vector<FailureReport> failures;
   bool ok() const { return failures.empty(); }
 };

@@ -42,6 +42,14 @@ Scenario Scenario::random(std::uint64_t seed) {
   sc.grid_voids = r.below(4);
   sc.grid_jitter = r.chance(0.5) ? 0.0 : r.uniform(0.05, 0.5);
   sc.grid_solver = r.below(3);
+  // The ATPG oracle proves untestable claims only on designs of at most
+  // ref::kExhaustiveVars test variables: a quarter of the draws shrink to
+  // the smallest LOC design (15 flops, one test variable each).
+  sc.check_atpg = r.chance(0.5);
+  if (sc.check_atpg && r.chance(0.5)) {
+    sc.flops_scale = 0.05;
+    sc.scheme = 0;
+  }
   return sc;
 }
 
@@ -79,6 +87,7 @@ Scenario Scenario::parse(const std::string& text) {
   sc.check_scap = doc.get_bool("check_scap", sc.check_scap);
   sc.check_grade = doc.get_bool("check_grade", sc.check_grade);
   sc.check_grid = doc.get_bool("check_grid", sc.check_grid);
+  sc.check_atpg = doc.get_bool("check_atpg", sc.check_atpg);
   return sc;
 }
 
@@ -116,6 +125,7 @@ std::string Scenario::serialize() const {
   doc.set_bool("check_scap", check_scap);
   doc.set_bool("check_grade", check_grade);
   doc.set_bool("check_grid", check_grid);
+  doc.set_bool("check_atpg", check_atpg);
   return doc.to_string();
 }
 

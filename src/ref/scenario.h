@@ -4,7 +4,7 @@
 // reference cross-check: which synthetic SOC to build (seed + structural
 // knobs), which launch scheme and pattern set to exercise, whether to derate
 // delays with a random droop map, what power-grid solve to run, and which of
-// the four oracles to compare. Everything the run does is a pure function of
+// the five oracles to compare. Everything the run does is a pure function of
 // the scenario, so a failing one can be committed to tests/corpus/ and
 // replayed forever.
 //
@@ -61,7 +61,7 @@ struct Scenario {
   /// single solver to isolate which one diverged.
   std::uint64_t grid_solver = 0;
 
-  // --- fault grading -------------------------------------------------------
+  // --- fault grading and ATPG ------------------------------------------------
   std::uint64_t fault_sample = 32;  ///< collapsed faults graded (0 = all)
   std::uint64_t fault_seed = 1;
   /// grade() batch width in machine words (1/2/4); 0 = engine default. The
@@ -73,6 +73,10 @@ struct Scenario {
   bool check_scap = true;
   bool check_grade = true;
   bool check_grid = true;
+  /// PODEM verdicts on the fault sample against fault simulation
+  /// (ref/atpg_check.h). Off by default so corpus entries written before
+  /// the check existed replay exactly as before.
+  bool check_atpg = false;
 
   /// Draw a random scenario (pure function of the seed).
   static Scenario random(std::uint64_t seed);
@@ -85,7 +89,7 @@ struct Scenario {
 
   std::size_t enabled_checks() const {
     return static_cast<std::size_t>(check_sim) + check_scap + check_grade +
-           check_grid;
+           check_grid + check_atpg;
   }
 };
 

@@ -231,6 +231,44 @@ TEST(Podem, ClearAssignmentsResets) {
   for (auto b : after.s1) EXPECT_EQ(b, kBitX);
 }
 
+TEST(Podem, UndoKeepsPlanesConsistent) {
+  // Trail undo must leave exactly the state a from-scratch implication of the
+  // remaining assignments gives, whatever mix of generate / extend / clear
+  // and backtracks led there.
+  // LOC, and the explicit-S2 schemes whose launch bits feed frame 2 directly.
+  PodemRig rig;
+  const auto& chains = test::tiny_soc().scan.chains;
+  const TestContext ctxs[] = {rig.ctx,
+                              TestContext::for_domain_los(rig.nl, 0, chains),
+                              TestContext::for_domain_enhanced(rig.nl, 0)};
+  for (const TestContext& ctx : ctxs) {
+    Podem podem(rig.nl, ctx, PodemOptions{8});
+    ASSERT_EQ(podem.self_check(), "");
+    Rng rng(81);
+    int extended = 0, failed_extends = 0;
+    for (int step = 0; step < 300; ++step) {
+      const auto& fault = rig.faults[rng.below(rig.faults.size())];
+      TestCube cube;
+      const std::uint64_t op = rng.below(8);
+      if (op == 0) {
+        podem.clear_assignments();
+      } else if (op < 3) {
+        podem.generate(fault, cube);
+      } else if (podem.extend(fault, cube) == PodemStatus::kDetected) {
+        ++extended;
+      } else {
+        ++failed_extends;
+      }
+      ASSERT_EQ(podem.self_check(), "")
+          << "scheme " << static_cast<int>(ctx.scheme) << ", step " << step
+          << " (op " << op << ", " << describe_fault(rig.nl, fault) << ")";
+    }
+    EXPECT_GT(podem.backtracks(), 0u);
+    EXPECT_GT(extended, 0);
+    EXPECT_GT(failed_extends, 0);
+  }
+}
+
 TEST(Podem, AbortedOnTinyBacktrackLimit) {
   PodemRig rig;
   Podem strict(rig.nl, rig.ctx, PodemOptions{0});

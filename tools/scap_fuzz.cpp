@@ -51,7 +51,13 @@ int replay_files(const std::vector<std::string>& files) {
     const scap::ref::ScenarioResult r = scap::ref::run_scenario(sc);
     if (r.ok()) {
       std::cout << "[replay] " << path << ": clean (" << sc.enabled_checks()
-                << " oracle(s))\n";
+                << " oracle(s))";
+      if (sc.check_atpg) {
+        std::cout << "; atpg: " << r.atpg.cubes << " cube(s), "
+                  << r.atpg.untestable << " untestable claim(s), "
+                  << r.atpg.untestable_exhaustive << " against every S1";
+      }
+      std::cout << "\n";
     } else {
       rc = 1;
       std::cout << "[replay] " << path << ": " << r.divergences.size()
@@ -136,6 +142,10 @@ int main(int argc, char** argv) {
 
   const scap::ref::FuzzStats st = scap::ref::run_fuzz(opt, &std::cout);
   std::cout << "[scap_fuzz] " << st.executed << " scenario(s), "
-            << st.failures.size() << " failure(s)\n";
+            << st.failures.size() << " failure(s)\n"
+            << "[scap_fuzz] atpg oracle: " << st.atpg.cubes
+            << " detected cube(s) under four fills, " << st.atpg.untestable
+            << " untestable claim(s), " << st.atpg.untestable_exhaustive
+            << " of them against every S1\n";
   return st.ok() ? 0 : 1;
 }
