@@ -3,10 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <memory>
+#include <mutex>
+#include <optional>
 
 #include "atpg/quiet_state.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "rt/parallel.h"
 
 namespace scap {
 
@@ -42,7 +46,8 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   std::vector<std::uint8_t> tried(faults.size(), 0);
   std::vector<std::uint32_t> detect_count(faults.size(), 0);
 
-  Podem podem(nl, *ctx_, PodemOptions{opt.backtrack_limit});
+  const PodemOptions podem_opt{opt.backtrack_limit, opt.seed};
+  Podem podem(nl, *ctx_, podem_opt);
   FaultSimulator fsim(nl, *ctx_);
   Rng rng(opt.seed);
 
@@ -103,6 +108,57 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     return true;
   };
 
+  // Speculative target searches. With a multi-threaded pool, a target with
+  // no cached verdict starts a parallel batch of generate() calls on the
+  // next eligible faults in cursor order, each on a worker Podem from a free
+  // list. generate() is pure, so a cached verdict is exactly what the
+  // engine's own Podem would return: thread count and batch boundaries only
+  // change how much speculative work goes unused.
+  const std::size_t threads = rt::concurrency();
+  const bool speculate = threads > 1 && !rt::ThreadPool::on_worker_thread();
+  const std::size_t spec_batch = 32 * threads;
+  std::vector<std::optional<PodemStatus>> spec(speculate ? faults.size() : 0);
+  std::vector<std::unique_ptr<Podem>> spare_podems;
+  std::mutex spare_mu;
+  obs::Counter& spec_generates_ctr =
+      obs::Registry::global().counter("atpg.spec_generates");
+  obs::Counter& spec_unused_ctr =
+      obs::Registry::global().counter("atpg.spec_unused");
+
+  auto speculate_from = [&](std::size_t target) {
+    SCAP_TRACE_SCOPE("atpg.speculate");
+    std::vector<std::size_t> batch;
+    for (std::size_t k = 0, i = target;
+         k < faults.size() && batch.size() < spec_batch; ++k) {
+      if (targetable[i] && !tried[i] && st[i] == FaultStatus::kUndetected &&
+          !spec[i]) {
+        batch.push_back(i);
+      }
+      if (++i == faults.size()) i = 0;
+    }
+    rt::parallel_for(
+        batch.size(),
+        [&](std::size_t begin, std::size_t end) {
+          std::unique_ptr<Podem> p;
+          {
+            const std::lock_guard<std::mutex> lock(spare_mu);
+            if (!spare_podems.empty()) {
+              p = std::move(spare_podems.back());
+              spare_podems.pop_back();
+            }
+          }
+          if (!p) p = std::make_unique<Podem>(nl, *ctx_, podem_opt);
+          for (std::size_t k = begin; k < end; ++k) {
+            TestCube cube;
+            spec[batch[k]] = p->generate(faults[batch[k]], cube);
+          }
+          const std::lock_guard<std::mutex> lock(spare_mu);
+          spare_podems.push_back(std::move(p));
+        },
+        rt::ForOptions{1});
+    if (obs::metrics_enabled()) spec_generates_ctr.add(batch.size());
+  };
+
   std::vector<Pattern> buffer;
   std::vector<std::size_t> buffer_care_bits;
 
@@ -157,10 +213,19 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
       }
     }
     if (target == faults.size()) break;
-    tried[target] = 1;
 
+    // A speculative untestable or aborted verdict stands as is; a detected
+    // one is searched again on the engine's own Podem, which yields the same
+    // cube and leaves the state extend() builds on.
+    PodemStatus ps = PodemStatus::kDetected;
+    if (speculate) {
+      if (!spec[target]) speculate_from(target);
+      ps = *spec[target];
+      spec[target].reset();
+    }
+    tried[target] = 1;
     TestCube cube;
-    const PodemStatus ps = podem.generate(faults[target], cube);
+    if (ps == PodemStatus::kDetected) ps = podem.generate(faults[target], cube);
     if (ps == PodemStatus::kUntestable) {
       st[target] = FaultStatus::kUntestable;
       ++run_untestable;
@@ -229,6 +294,11 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
       case FaultStatus::kUndetected:
         break;
     }
+  }
+  if (obs::metrics_enabled()) {
+    spec_unused_ctr.add(static_cast<std::uint64_t>(
+        std::count_if(spec.begin(), spec.end(),
+                      [](const auto& v) { return v.has_value(); })));
   }
   obs::count("atpg.runs");
   obs::count("atpg.patterns", result.patterns.size());

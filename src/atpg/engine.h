@@ -94,6 +94,9 @@ class AtpgEngine {
   /// Generate patterns for every targeted, still-undetected fault in
   /// `faults`. If `status` is non-null it seeds and receives per-fault
   /// results (multi-step flows); otherwise all faults start undetected.
+  /// Called off the rt pool with more than one pool thread, it runs PODEM
+  /// target searches speculatively in parallel; the result is bit-identical
+  /// at any thread count.
   AtpgResult run(std::span<const TdfFault> faults, const AtpgOptions& opt,
                  std::vector<FaultStatus>* status = nullptr);
 

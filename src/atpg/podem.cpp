@@ -673,6 +673,8 @@ PodemStatus Podem::generate(const TdfFault& fault, TestCube& out) {
   const std::uint64_t impl0 = implications_, bt0 = backtracks_;
   pop_to(0);
   install_fault(fault);
+  backtrace_salt_ = static_cast<std::size_t>(
+      opt_.seed + fault.net + fault.pin + static_cast<std::uint64_t>(fault.type));
   const PodemStatus st = run(0, out);
   if (obs::metrics_enabled()) {
     generates_ctr_->add(1);

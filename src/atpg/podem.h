@@ -41,18 +41,26 @@ enum class PodemStatus : std::uint8_t { kDetected, kUntestable, kAborted };
 
 struct PodemOptions {
   std::uint32_t backtrack_limit = 64;
+  /// Mixed with the fault into the backtrace rotation each generate() starts
+  /// from, so a caller can search an aborted fault again from another
+  /// rotation by changing the seed.
+  std::uint64_t seed = 0;
 };
 
 class Podem {
  public:
   Podem(const Netlist& nl, const TestContext& ctx, PodemOptions opt = {});
 
-  /// Generate a cube detecting the fault, starting from a clean slate.
+  /// Generate a cube detecting the fault, starting from a clean slate. Pure:
+  /// status and cube depend only on the netlist, context, options and
+  /// fault, never on what this object ran before -- which is what lets the
+  /// ATPG engine run target searches speculatively on other Podems.
   PodemStatus generate(const TdfFault& fault, TestCube& out);
 
   /// Dynamic compaction: keep current assignments fixed and try to extend
   /// them to also detect `fault`. On success `out` holds the merged cube; on
-  /// failure the pre-call assignments are restored.
+  /// failure the pre-call assignments are restored. The backtrace rotation
+  /// continues from the preceding generate() / extend() calls.
   PodemStatus extend(const TdfFault& fault, TestCube& out);
 
   /// Drop all assignments (generate() does this implicitly).
@@ -174,7 +182,9 @@ class Podem {
   std::size_t trail_floor_ = 0;
   std::uint64_t implications_ = 0;
   std::uint64_t backtracks_ = 0;
-  mutable std::size_t backtrace_salt_ = 0;  ///< path diversification counter
+  /// Backtrace rotation (path diversification): reset from the seed and the
+  /// fault by generate(), advanced on every backtrack.
+  std::size_t backtrace_salt_ = 0;
 
   obs::Counter* generates_ctr_ = nullptr;
   obs::Counter* extends_ctr_ = nullptr;

@@ -43,10 +43,32 @@ AtpgCheck check_atpg(const Netlist& nl, const TestContext& ctx,
   AtpgCheck out;
   Rng rng(seed);
   Podem podem(nl, ctx);
+  Podem dirty(nl, ctx);
   std::vector<TdfFault> untestable;
-  for (const TdfFault& f : faults) {
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    const TdfFault& f = faults[i];
     TestCube cube;
-    switch (podem.generate(f, cube)) {
+    const PodemStatus st = podem.generate(f, cube);
+    if (i % kReplayStride == 0) {
+      ++out.coverage.replays;
+      TestCube again;
+      const PodemStatus st2 = dirty.generate(f, again);
+      if (st2 != st || (st == PodemStatus::kDetected && again.s1 != cube.s1)) {
+        out.divergences.push_back(
+            {"atpg",
+             "generate is not pure: " + describe_fault(nl, f) +
+                 (st2 != st ? " gets another status"
+                            : " gets another cube") +
+                 " on a Podem with another history",
+             kNoPattern});
+      }
+      // Leave assignments, extension attempts and backtracks behind for the
+      // next replay.
+      for (std::size_t k = 1; k <= 2 && i + k < faults.size(); ++k) {
+        dirty.extend(faults[i + k], again);
+      }
+    }
+    switch (st) {
       case PodemStatus::kAborted:
         continue;
       case PodemStatus::kUntestable:

@@ -10,6 +10,10 @@
 //    detect the fault. Larger designs get a spot check with kSpotPatterns
 //    random S1s instead -- a test that can miss, not a proof.
 // kAborted makes no claim.
+// Every kReplayStride-th verdict is also replayed on a second Podem whose
+// history differs (extends and other generates in between): generate() is
+// pure, so status and cube must come out identical. The ATPG engine's
+// speculative parallel search relies on that.
 #pragma once
 
 #include <cstddef>
@@ -26,17 +30,20 @@ namespace scap::ref {
 
 inline constexpr std::size_t kExhaustiveVars = 16;
 inline constexpr std::size_t kSpotPatterns = 1024;
+inline constexpr std::size_t kReplayStride = 4;
 
 /// What the oracle checked.
 struct AtpgCoverage {
   std::size_t cubes = 0;       ///< detected cubes checked under four fills
   std::size_t untestable = 0;  ///< untestable claims checked
   std::size_t untestable_exhaustive = 0;  ///< ... of them against every S1
+  std::size_t replays = 0;     ///< verdicts replayed on a dirty Podem
 
   void add(const AtpgCoverage& o) {
     cubes += o.cubes;
     untestable += o.untestable;
     untestable_exhaustive += o.untestable_exhaustive;
+    replays += o.replays;
   }
 };
 

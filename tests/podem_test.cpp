@@ -269,6 +269,51 @@ TEST(Podem, UndoKeepsPlanesConsistent) {
   }
 }
 
+TEST(Podem, GenerateIsPure) {
+  // generate() must not depend on what the Podem ran before: the ATPG engine
+  // runs target searches speculatively on worker Podems with other
+  // histories and uses their verdicts as its own. Each fault runs on a fresh
+  // Podem and on one dirtied by random generates, extends and backtracks.
+  PodemRig rig;
+  const auto& chains = test::tiny_soc().scan.chains;
+  const TestContext ctxs[] = {rig.ctx,
+                              TestContext::for_domain_los(rig.nl, 0, chains),
+                              TestContext::for_domain_enhanced(rig.nl, 0)};
+  for (const TestContext& ctx : ctxs) {
+    const PodemOptions opt{8, 2007};
+    Podem dirty(rig.nl, ctx, opt);
+    Rng rng(91);
+    int detected = 0, other = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      TestCube scratch;
+      for (std::uint64_t k = rng.below(4); k > 0; --k) {
+        const auto& f = rig.faults[rng.below(rig.faults.size())];
+        if (rng.below(3) == 0) {
+          dirty.generate(f, scratch);
+        } else {
+          dirty.extend(f, scratch);
+        }
+      }
+      const auto& fault = rig.faults[rng.below(rig.faults.size())];
+      Podem fresh(rig.nl, ctx, opt);
+      TestCube want, got;
+      const PodemStatus st = fresh.generate(fault, want);
+      ASSERT_EQ(dirty.generate(fault, got), st)
+          << "scheme " << static_cast<int>(ctx.scheme) << ", "
+          << describe_fault(rig.nl, fault);
+      if (st == PodemStatus::kDetected) {
+        ASSERT_EQ(got.s1, want.s1) << describe_fault(rig.nl, fault);
+        ++detected;
+      } else {
+        ++other;
+      }
+    }
+    EXPECT_GT(dirty.backtracks(), 0u);
+    EXPECT_GT(detected, 0);
+    EXPECT_GT(other, 0);
+  }
+}
+
 TEST(Podem, AbortedOnTinyBacktrackLimit) {
   PodemRig rig;
   Podem strict(rig.nl, rig.ctx, PodemOptions{0});

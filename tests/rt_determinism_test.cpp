@@ -4,14 +4,17 @@
 // compares outputs with exact (==) equality -- never EXPECT_NEAR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
 
+#include "atpg/engine.h"
 #include "atpg/fault_sim.h"
 #include "atpg/pattern.h"
 #include "core/experiment.h"
 #include "core/power_aware.h"
 #include "core/validation.h"
+#include "obs/metrics.h"
 #include "obs/prof.h"
 #include "obs/trace.h"
 #include "power/power_grid.h"
@@ -108,6 +111,82 @@ TEST(RtDeterminism, Fig6PowerAwarePipeline) {
   EXPECT_EQ(at1.first.step_start, at4.first.step_start);
   EXPECT_EQ(at1.first.coverage_curve(), at4.first.coverage_curve());
   expect_reports_identical(at1.second, at4.second);
+}
+
+TEST(RtDeterminism, AtpgEngineSpeculationInvariant) {
+  // With more than one pool thread the engine runs target searches
+  // speculatively in parallel batches sized by the pool. Because
+  // Podem::generate is pure, the whole AtpgResult and every fault's status
+  // must match the serial run at any thread count, under LOC and LOS, with
+  // n-detect and with a target-block subset.
+  const Experiment& exp = exp_fixture();
+  const Netlist& nl = exp.soc.netlist;
+  // Every fourth fault: 16 engine runs must stay affordable under TSan.
+  std::vector<TdfFault> faults;
+  for (std::size_t i = 0; i < exp.faults.size(); i += 4) {
+    faults.push_back(exp.faults[i]);
+  }
+  const TestContext los =
+      TestContext::for_domain_los(nl, exp.ctx.domain, exp.soc.scan.chains);
+  struct Case {
+    const char* name;
+    const TestContext* ctx;
+    AtpgOptions opt;
+  };
+  std::vector<Case> cases(4);
+  cases[0] = {"LOC random fill", &exp.ctx, {}};
+  cases[1] = {"LOS random fill", &los, {}};
+  cases[2] = {"n_detect 2", &exp.ctx, {}};
+  cases[2].opt.n_detect = 2;
+  cases[3] = {"target blocks, quiet fill", &exp.ctx, {}};
+  cases[3].opt.fill = FillMode::kQuiet;
+  cases[3].opt.target_blocks.assign(nl.block_count(), 0);
+  for (std::size_t b = 0; b < nl.block_count(); b += 2) {
+    cases[3].opt.target_blocks[b] = 1;
+  }
+  cases[3].opt.max_block_care_fraction = 0.1;
+
+  for (Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.opt.seed = 99;
+    auto run = [&] {
+      std::vector<FaultStatus> status;
+      AtpgResult res = AtpgEngine(nl, *c.ctx).run(faults, c.opt, &status);
+      return std::pair(std::move(res), std::move(status));
+    };
+    const auto at1 = at_threads(1, run);
+    const AtpgStats& s = at1.first.stats;
+    const std::size_t undetected = static_cast<std::size_t>(
+        std::count(at1.second.begin(), at1.second.end(),
+                   FaultStatus::kUndetected));
+    EXPECT_EQ(s.detected + s.untestable + s.aborted + undetected,
+              s.total_faults);
+    EXPECT_EQ(s.total_faults, faults.size());
+    std::size_t credited = 0;
+    for (std::size_t n : at1.first.new_detects_per_pattern) credited += n;
+    EXPECT_EQ(credited, s.detected);
+    EXPECT_GT(s.detected, 0u);
+
+    for (std::size_t threads : {2, 3, 4}) {
+      SCOPED_TRACE(threads);
+      obs::Counter& spec = obs::Registry::global().counter("atpg.spec_generates");
+      const std::uint64_t spec0 = spec.value();
+      const auto atn = at_threads(threads, run);
+      if (obs::metrics_enabled()) {
+        EXPECT_GT(spec.value(), spec0) << "the parallel run must speculate";
+      }
+      expect_patterns_identical(at1.first.patterns, atn.first.patterns);
+      EXPECT_EQ(at1.first.stats.total_faults, atn.first.stats.total_faults);
+      EXPECT_EQ(at1.first.stats.detected, atn.first.stats.detected);
+      EXPECT_EQ(at1.first.stats.untestable, atn.first.stats.untestable);
+      EXPECT_EQ(at1.first.stats.aborted, atn.first.stats.aborted);
+      EXPECT_EQ(at1.second, atn.second);
+      EXPECT_EQ(at1.first.new_detects_per_pattern,
+                atn.first.new_detects_per_pattern);
+      EXPECT_EQ(at1.first.care_bits_per_pattern,
+                atn.first.care_bits_per_pattern);
+    }
+  }
 }
 
 TEST(RtDeterminism, FaultGradeShardingInvariant) {

@@ -55,7 +55,8 @@ int replay_files(const std::vector<std::string>& files) {
       if (sc.check_atpg) {
         std::cout << "; atpg: " << r.atpg.cubes << " cube(s), "
                   << r.atpg.untestable << " untestable claim(s), "
-                  << r.atpg.untestable_exhaustive << " against every S1";
+                  << r.atpg.untestable_exhaustive << " against every S1, "
+                  << r.atpg.replays << " replayed on a dirty Podem";
       }
       std::cout << "\n";
     } else {
@@ -146,6 +147,7 @@ int main(int argc, char** argv) {
             << "[scap_fuzz] atpg oracle: " << st.atpg.cubes
             << " detected cube(s) under four fills, " << st.atpg.untestable
             << " untestable claim(s), " << st.atpg.untestable_exhaustive
-            << " of them against every S1\n";
+            << " of them against every S1, " << st.atpg.replays
+            << " verdict(s) replayed on a dirty Podem\n";
   return st.ok() ? 0 : 1;
 }
