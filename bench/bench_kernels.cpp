@@ -330,7 +330,8 @@ double run_streaming_throughput() {
 /// Tier-1 static screen throughput (PatternAnalyzer::screen_static) against
 /// the event-sim baseline measured above, plus the fraction of patterns the
 /// two-tier cascade proves clean without simulation. The speedup is the
-/// whole point of the cascade: the roadmap gate is >= 5x patterns/sec.
+/// whole point of the cascade: ~3.4x patterns/sec against the calendar-queue
+/// event simulator (it was ~5x against the heap-scheduled one).
 void run_static_screen_throughput(double eventsim_pps) {
   const Experiment& exp = bench::experiment();
   const PatternSet pats = random_pattern_set(256, exp.ctx.num_vars(), 2007);

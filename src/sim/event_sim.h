@@ -12,11 +12,12 @@
 //    a fresh trace per call).
 //  - run(initial, stimuli, Workspace&, ToggleSink&) streams every committed
 //    toggle into the sink as it happens -- the paper's PLI tap -- and keeps
-//    all simulation storage (value array, pending-event pools, queue heap)
-//    in the caller-owned Workspace, so bulk per-pattern screening runs with
-//    zero steady-state heap allocations.
+//    all simulation storage (value array, event pool, calendar queue) in the
+//    caller-owned Workspace, so bulk per-pattern screening runs with zero
+//    steady-state heap allocations.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -29,24 +30,44 @@
 namespace scap {
 
 /// Per-gate rise/fall delays; build once, optionally derated by a voltage map.
+///
+/// Every gate with inputs must have finite delays > 0: the event simulator's
+/// calendar queue relies on an evaluation never scheduling into the time
+/// bucket being drained. Tie cells have no inputs, are never evaluated, and
+/// are exempt (the generic library gives them zero delay).
 class DelayModel {
  public:
+  /// Throws std::invalid_argument if some evaluated gate's delay is not > 0.
   DelayModel(const Netlist& nl, const TechLibrary& lib, const Parasitics& par);
 
   /// Apply per-gate voltage droop (VDD loss + VSS bounce [V]); delays become
   /// base * (1 + k_volt * droop). Pass an empty span to reset to nominal.
-  /// Throws std::invalid_argument if the droop vector does not match the
-  /// netlist's gate count.
+  /// Throws std::invalid_argument, leaving the model unchanged, if the droop
+  /// vector does not match the netlist's gate count or would derate some
+  /// evaluated gate's delay to <= 0.
   void set_droop(const TechLibrary& lib, std::span<const double> gate_droop_v);
 
-  double rise_ns(GateId g) const { return rise_ns_[g]; }
-  double fall_ns(GateId g) const { return fall_ns_[g]; }
+  double rise_ns(GateId g) const { return delay_ns_[g][1]; }
+  double fall_ns(GateId g) const { return delay_ns_[g][0]; }
+  /// Delay of the edge that drives the output to `value` (0 fall, 1 rise).
+  double delay_ns(GateId g, std::uint8_t value) const {
+    return delay_ns_[g][value];
+  }
+
+  /// Extremes over the evaluated gates' current delays (0 if there are none).
+  double min_delay_ns() const { return min_ns_; }
+  double max_delay_ns() const { return max_ns_; }
 
  private:
-  std::vector<double> base_rise_ns_;
-  std::vector<double> base_fall_ns_;
-  std::vector<double> rise_ns_;
-  std::vector<double> fall_ns_;
+  using EdgeDelays = std::array<double, 2>;  ///< {fall, rise} [ns]
+
+  void refresh_extremes();
+
+  std::vector<EdgeDelays> base_ns_;
+  std::vector<EdgeDelays> delay_ns_;
+  std::vector<std::uint8_t> evaluated_;  ///< per gate: has inputs
+  double min_ns_ = 0.0;
+  double max_ns_ = 0.0;
 };
 
 struct Stimulus {
@@ -77,12 +98,14 @@ struct SimTrace {
 
 class EventSim {
  public:
-  /// Reusable simulation storage: the current-value array, the per-net
-  /// pending-event pools and the scheduling heap. All of it persists between
-  /// runs (only capacity, never state -- every run drains its queues), so a
-  /// warm workspace serves each subsequent pattern without touching the
-  /// allocator. One workspace per thread/shard; a workspace must not be used
-  /// by two runs concurrently.
+  /// Reusable simulation storage: the current-value array, the event pool
+  /// with its per-net pending lists, and the calendar queue. All of it
+  /// persists between runs (only capacity, never state -- every run drains
+  /// its queue), so a warm workspace serves each subsequent pattern without
+  /// touching the allocator. Nothing per-design is copied in: gate, fanout
+  /// and delay tables are read from the Netlist and DelayModel. One
+  /// workspace per thread/shard; a workspace must not be used by two runs
+  /// concurrently.
   class Workspace {
    public:
     Workspace() = default;
@@ -97,42 +120,46 @@ class EventSim {
    private:
     friend class EventSim;
 
-    struct Pending {
-      double t_ns;
-      std::uint64_t stamp;
-      std::uint8_t value;
-    };
-    struct QueueEntry {
+    static constexpr std::uint32_t kNil = 0xffffffffu;
+
+    /// One scheduled output event. Nodes live in one flat pool and are
+    /// threaded onto two intrusive lists: the FIFO chain of their time
+    /// bucket (`next`), and their net's time-sorted pending list
+    /// (`net_prev`/`net_next`) that cancellation walks from the back.
+    struct Node {
       double t_ns;
       NetId net;
-      std::uint64_t stamp;
+      std::uint32_t next;
+      std::uint32_t net_prev;
+      std::uint32_t net_next;
+      std::uint8_t value;
+      bool cancelled;
+    };
+    struct Bucket {
+      std::uint32_t head = kNil;
+      std::uint32_t tail = kNil;
+    };
+    /// A node being ordered for commit: by time, ties by schedule order.
+    struct Due {
+      double t_ns;
+      std::uint32_t seq;
+      std::uint32_t node;
 
-      bool operator>(const QueueEntry& o) const {
-        return t_ns != o.t_ns ? t_ns > o.t_ns : stamp > o.stamp;
+      bool operator<(const Due& o) const {
+        return t_ns != o.t_ns ? t_ns < o.t_ns : seq < o.seq;
       }
     };
-    /// Per-net time-sorted pending output events. Cancellation pops from the
-    /// back (later times); firing advances `head` -- an O(1) front pop that
-    /// keeps the storage in place for reuse.
-    struct PendingList {
-      std::vector<Pending> events;
-      std::size_t head = 0;
-
-      bool empty() const { return head == events.size(); }
-    };
-
-    /// Events reserved per net up front. Pending depth is the number of
-    /// in-flight pulses on one net, which transport semantics keeps small;
-    /// pre-reserving stops the first toggle of each not-yet-touched net
-    /// (pattern-dependent!) from allocating in steady state.
-    static constexpr std::size_t kReservedPendingPerNet = 8;
 
     std::vector<std::uint8_t> value_;
-    std::vector<PendingList> pending_;
-    std::vector<QueueEntry> heap_;
+    std::vector<std::uint32_t> net_tail_;  ///< newest pending node per net
+    std::vector<Node> nodes_;
+    std::uint32_t free_ = kNil;  ///< recycled nodes, linked through `next`
+    std::vector<Bucket> ring_;   ///< power-of-two calendar of time buckets
+    std::vector<Due> stimuli_;   ///< this run's stimulus nodes, commit order
+    std::vector<Due> batch_;     ///< the bucket being drained, commit order
+    bool drained_ = true;        ///< false if a run was left mid-way (throw)
     std::size_t runs_ = 0;
     std::size_t grown_runs_ = 0;
-    bool grew_ = false;
   };
 
   EventSim(const Netlist& nl, const DelayModel& dm) : nl_(&nl), dm_(&dm) {}

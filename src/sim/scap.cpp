@@ -5,6 +5,30 @@
 
 namespace scap {
 
+namespace {
+
+/// scap.* metric handles, resolved once (the registry never erases).
+struct ScapMetrics {
+  obs::Counter& computes;
+  obs::Gauge& stw_ns;
+  obs::Gauge& vdd_scap_mw;
+};
+
+/// Per-pattern SCAP distribution (Figure 2/6 shape at a glance).
+void record(const ScapReport& rep) {
+  if (!obs::metrics_enabled()) return;
+  static const ScapMetrics m = [] {
+    obs::Registry& reg = obs::Registry::global();
+    return ScapMetrics{reg.counter("scap.computes"), reg.gauge("scap.stw_ns"),
+                       reg.gauge("scap.vdd_scap_mw")};
+  }();
+  m.computes.add();
+  m.stw_ns.observe(rep.stw_ns);
+  m.vdd_scap_mw.observe(rep.scap_mw(Rail::kVdd));
+}
+
+}  // namespace
+
 ScapCalculator::ScapCalculator(const Netlist& nl, const Parasitics& par,
                                const TechLibrary& lib)
     : nl_(&nl), lib_(&lib) {
@@ -48,10 +72,7 @@ ScapReport ScapCalculator::compute(const SimTrace& trace,
       rep.vss_energy_total_pj += e;
     }
   }
-  // Per-pattern SCAP distribution (Figure 2/6 shape at a glance).
-  obs::count("scap.computes");
-  obs::observe("scap.stw_ns", rep.stw_ns);
-  obs::observe("scap.vdd_scap_mw", rep.scap_mw(Rail::kVdd));
+  record(rep);
   return rep;
 }
 
@@ -80,9 +101,7 @@ void ScapAccumulator::on_toggle(NetId net, double /*t_ns*/, bool rising) {
 void ScapAccumulator::on_end(const SimStats& stats) {
   report_.stw_ns = stats.stw_ns();
   report_.num_toggles = stats.num_toggles;
-  obs::count("scap.computes");
-  obs::observe("scap.stw_ns", report_.stw_ns);
-  obs::observe("scap.vdd_scap_mw", report_.scap_mw(Rail::kVdd));
+  record(report_);
 }
 
 }  // namespace scap

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cmath>
 #include <stdexcept>
 
 #include "atpg/context.h"
@@ -216,6 +218,83 @@ TEST(DelayModel, SetDroopValidatesSize) {
   EXPECT_THROW(dm.set_droop(lib, short_vec), std::invalid_argument);
   // The failed calls must not have corrupted the model.
   EXPECT_DOUBLE_EQ(dm.rise_ns(1), rig.dm.rise_ns(1));
+}
+
+TEST(DelayModel, RejectsNonPositiveDelays) {
+  // A library whose inverter has no delay at all cannot drive the event
+  // simulator's calendar queue.
+  const TechLibrary& base = TechLibrary::generic180();
+  std::array<CellTiming, kNumCellTypes> cells{};
+  for (std::size_t i = 0; i < kNumCellTypes; ++i) {
+    cells[i] = base.timing(static_cast<CellType>(i));
+  }
+  cells[static_cast<std::size_t>(CellType::kInv)] = CellTiming{};
+  const TechLibrary zero_inv(base.vdd(), base.k_volt(),
+                             base.ir_alarm_fraction(), cells);
+  Rig rig(inv_chain(2));
+  EXPECT_THROW(DelayModel(rig.nl, zero_inv, rig.par), std::invalid_argument);
+
+  // Tie cells have zero delay in the generic library but are never
+  // evaluated, so they are exempt.
+  Netlist nl;
+  const NetId q = nl.add_net("q");
+  const NetId one = nl.add_net("one");
+  const NetId y = nl.add_net("y");
+  nl.add_gate(CellType::kTie1, {}, one);
+  const NetId ins[] = {q, one};
+  nl.add_gate(CellType::kAnd2, ins, y);
+  nl.add_flop(y, q, 0, 0);
+  nl.finalize();
+  Rig tie(std::move(nl));
+  EXPECT_EQ(tie.dm.rise_ns(0), 0.0);
+  EXPECT_EQ(tie.dm.min_delay_ns(),
+            std::min(tie.dm.rise_ns(1), tie.dm.fall_ns(1)));
+}
+
+TEST(DelayModel, SetDroopRejectsNonPositiveDelays) {
+  Rig rig(inv_chain(3));
+  const TechLibrary& lib = TechLibrary::generic180();
+  DelayModel dm = rig.dm;
+  std::vector<double> droop(rig.nl.num_gates(), 0.1);
+  dm.set_droop(lib, droop);
+  const double rise = dm.rise_ns(1);
+  const double lo = dm.min_delay_ns();
+  const double hi = dm.max_delay_ns();
+
+  // k = 1 + k_volt * droop <= 0 on one gate; NaN on another.
+  std::vector<double> bad = droop;
+  bad[2] = -2.0 / lib.k_volt();
+  EXPECT_THROW(dm.set_droop(lib, bad), std::invalid_argument);
+  bad = droop;
+  bad[0] = std::nan("");
+  EXPECT_THROW(dm.set_droop(lib, bad), std::invalid_argument);
+  // Rejected maps leave the derated model, extremes included, untouched.
+  EXPECT_EQ(dm.rise_ns(1), rise);
+  EXPECT_EQ(dm.min_delay_ns(), lo);
+  EXPECT_EQ(dm.max_delay_ns(), hi);
+}
+
+TEST(DelayModel, ExtremesFollowDroop) {
+  Rig rig(inv_chain(3));
+  const TechLibrary& lib = TechLibrary::generic180();
+  DelayModel dm = rig.dm;
+  double lo = dm.rise_ns(0);
+  double hi = lo;
+  for (GateId g = 0; g < rig.nl.num_gates(); ++g) {
+    for (const double d : {dm.rise_ns(g), dm.fall_ns(g)}) {
+      lo = std::min(lo, d);
+      hi = std::max(hi, d);
+    }
+  }
+  EXPECT_EQ(dm.min_delay_ns(), lo);
+  EXPECT_EQ(dm.max_delay_ns(), hi);
+  const double k = 1.0 + lib.k_volt() * 0.2;
+  dm.set_droop(lib, std::vector<double>(rig.nl.num_gates(), 0.2));
+  EXPECT_EQ(dm.min_delay_ns(), lo * k);
+  EXPECT_EQ(dm.max_delay_ns(), hi * k);
+  dm.set_droop(lib, {});
+  EXPECT_EQ(dm.min_delay_ns(), lo);
+  EXPECT_EQ(dm.max_delay_ns(), hi);
 }
 
 TEST(Vcd, WellFormedOutput) {
