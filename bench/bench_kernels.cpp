@@ -330,7 +330,7 @@ double run_streaming_throughput() {
 /// Tier-1 static screen throughput (PatternAnalyzer::screen_static) against
 /// the event-sim baseline measured above, plus the fraction of patterns the
 /// two-tier cascade proves clean without simulation. The speedup is the
-/// whole point of the cascade: ~3.4x patterns/sec against the calendar-queue
+/// whole point of the cascade: ~3x patterns/sec against the calendar-queue
 /// event simulator (it was ~5x against the heap-scheduled one).
 void run_static_screen_throughput(double eventsim_pps) {
   const Experiment& exp = bench::experiment();

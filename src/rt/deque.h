@@ -45,9 +45,13 @@ class WorkStealingDeque {
       a = grow(a, t, b);
     }
     a->put(b, item);
-    // Release store (not a release fence plus a relaxed store, as in the
-    // paper): equivalent here, and ThreadSanitizer models it, so it sees the
-    // slot and the task it points to published to stealers.
+    // Both a release fence (as in the paper) and a release store. The fence
+    // also covers pop()'s later relaxed stores to bottom_: a stealer that
+    // reads one of them must still see this slot and the task it points to,
+    // and C++20 dropped same-thread stores from release sequences, so the
+    // store alone would not. ThreadSanitizer does not model fences; the
+    // release store is what lets it see the publication.
+    std::atomic_thread_fence(std::memory_order_release);
     bottom_.store(b + 1, std::memory_order_release);
   }
 

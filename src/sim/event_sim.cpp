@@ -21,34 +21,6 @@ bool valid_delay(double d) { return std::isfinite(d) && d > 0.0; }
 /// (any value >= 2 keeps the commit order exact). Narrower buckets hold fewer
 /// events to sort, at the cost of more empty buckets to step over.
 constexpr double kBucketsPerMinDelay = 16.0;
-/// Ring size target per largest gate delay: libraries with a very wide delay
-/// spread get wider buckets (never wider than half the smallest delay)
-/// instead of a huge ring.
-constexpr double kMaxBucketsPerMaxDelay = 4096.0;
-
-/// Per cell type, the output for every input combination (bit k of the index
-/// is input k), tabulated once from eval_scalar: the cell kit's own logic.
-using TruthTable = std::uint16_t;
-static_assert(kMaxGateInputs <= 4, "truth tables hold up to 4 inputs");
-
-const std::array<TruthTable, kNumCellTypes>& truth_tables() {
-  static const std::array<TruthTable, kNumCellTypes> tables = [] {
-    std::array<TruthTable, kNumCellTypes> out{};
-    std::array<std::uint8_t, kMaxGateInputs> ins{};
-    for (std::size_t c = 0; c < kNumCellTypes; ++c) {
-      const auto type = static_cast<CellType>(c);
-      const auto n = static_cast<std::size_t>(num_inputs(type));
-      for (unsigned idx = 0; idx < (1u << n); ++idx) {
-        for (std::size_t k = 0; k < n; ++k) ins[k] = (idx >> k) & 1u;
-        if (eval_scalar(type, std::span<const std::uint8_t>(ins.data(), n))) {
-          out[c] |= static_cast<TruthTable>(1u << idx);
-        }
-      }
-    }
-    return out;
-  }();
-  return tables;
-}
 
 /// eventsim.* counter handles, resolved once (the registry never erases).
 struct SimCounters {
@@ -189,10 +161,7 @@ void EventSim::run(std::span<const std::uint8_t> initial_net_values,
   // Bucket geometry for this delay model (derating moves it).
   const double min_d = dm.min_delay_ns();
   const double max_d = dm.max_delay_ns();
-  double width = min_d > 0.0 ? min_d / kBucketsPerMinDelay : 1.0;
-  if (max_d / width > kMaxBucketsPerMaxDelay) {
-    width = std::min(min_d / 2.0, max_d / kMaxBucketsPerMaxDelay);
-  }
+  const double width = min_d > 0.0 ? min_d / kBucketsPerMinDelay : 1.0;
   const double inv_width = 1.0 / width;
   // A pending evaluation lies at most max_d past the bucket being drained.
   std::size_t ring_size = 1;
@@ -262,12 +231,12 @@ void EventSim::run(std::span<const std::uint8_t> initial_net_values,
     ++queued;
   };
 
-  const auto& truth = truth_tables();
+  std::array<std::uint8_t, kMaxGateInputs> ins{};
   auto eval_gate = [&](GateId g, CellType type) -> std::uint8_t {
     const auto in = nl.gate_inputs(g);
-    unsigned idx = 0;
-    for (std::size_t k = 0; k < in.size(); ++k) idx |= (value[in[k]] & 1u) << k;
-    return (truth[static_cast<std::size_t>(type)] >> idx) & 1u;
+    for (std::size_t k = 0; k < in.size(); ++k) ins[k] = value[in[k]];
+    return eval_scalar(type,
+                       std::span<const std::uint8_t>(ins.data(), in.size()));
   };
 
   SimStats stats;
@@ -292,19 +261,7 @@ void EventSim::run(std::span<const std::uint8_t> initial_net_values,
       --queued;
     }
     bucket = Ws::Bucket{};
-    // A bucket holds a handful of events; insertion sort is quickest there.
-    if (ws.batch_.size() > 32) {
-      std::sort(ws.batch_.begin(), ws.batch_.end());
-    } else {
-      for (std::size_t i = 1; i < ws.batch_.size(); ++i) {
-        const Ws::Due due = ws.batch_[i];
-        std::size_t j = i;
-        for (; j > 0 && due < ws.batch_[j - 1]; --j) {
-          ws.batch_[j] = ws.batch_[j - 1];
-        }
-        ws.batch_[j] = due;
-      }
-    }
+    std::sort(ws.batch_.begin(), ws.batch_.end());
 
     for (const Ws::Due& due : ws.batch_) {
       ++stats.num_events_processed;
