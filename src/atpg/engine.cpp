@@ -113,11 +113,19 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
   // next eligible faults in cursor order, each on a worker Podem from a free
   // list. generate() is pure, so a cached verdict is exactly what the
   // engine's own Podem would return: thread count and batch boundaries only
-  // change how much speculative work goes unused.
+  // change how much speculative work goes unused. A detected verdict keeps
+  // its cube's care bits (variable << 1 | value) and the search's final
+  // backtrace rotation, which is all Podem::adopt() needs to leave the
+  // engine's Podem as its own generate() would.
+  struct SpecVerdict {
+    PodemStatus status{};
+    std::size_t salt = 0;
+    std::vector<std::uint32_t> care;
+  };
   const std::size_t threads = rt::concurrency();
   const bool speculate = threads > 1 && !rt::ThreadPool::on_worker_thread();
   const std::size_t spec_batch = 32 * threads;
-  std::vector<std::optional<PodemStatus>> spec(speculate ? faults.size() : 0);
+  std::vector<std::optional<SpecVerdict>> spec(speculate ? faults.size() : 0);
   std::vector<std::unique_ptr<Podem>> spare_podems;
   std::mutex spare_mu;
   obs::Counter& spec_generates_ctr =
@@ -150,7 +158,15 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
           if (!p) p = std::make_unique<Podem>(nl, *ctx_, podem_opt);
           for (std::size_t k = begin; k < end; ++k) {
             TestCube cube;
-            spec[batch[k]] = p->generate(faults[batch[k]], cube);
+            SpecVerdict v;
+            v.status = p->generate(faults[batch[k]], cube);
+            if (v.status == PodemStatus::kDetected) {
+              v.salt = p->backtrace_salt();
+              for (std::uint32_t b = 0; b < cube.s1.size(); ++b) {
+                if (cube.s1[b] != kBitX) v.care.push_back((b << 1) | cube.s1[b]);
+              }
+            }
+            spec[batch[k]] = std::move(v);
           }
           const std::lock_guard<std::mutex> lock(spare_mu);
           spare_podems.push_back(std::move(p));
@@ -214,18 +230,26 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
     }
     if (target == faults.size()) break;
 
-    // A speculative untestable or aborted verdict stands as is; a detected
-    // one is searched again on the engine's own Podem, which yields the same
-    // cube and leaves the state extend() builds on.
-    PodemStatus ps = PodemStatus::kDetected;
+    // A speculative verdict stands as is; a detected one's cube is adopted
+    // by the engine's own Podem, which extend() then builds on.
+    TestCube cube;
+    PodemStatus ps;
     if (speculate) {
       if (!spec[target]) speculate_from(target);
-      ps = *spec[target];
+      const SpecVerdict& v = *spec[target];
+      ps = v.status;
+      if (ps == PodemStatus::kDetected) {
+        cube.s1.assign(ctx_->num_vars(), kBitX);
+        for (std::uint32_t c : v.care) {
+          cube.s1[c >> 1] = static_cast<std::uint8_t>(c & 1);
+        }
+        podem.adopt(cube, v.salt);
+      }
       spec[target].reset();
+    } else {
+      ps = podem.generate(faults[target], cube);
     }
     tried[target] = 1;
-    TestCube cube;
-    if (ps == PodemStatus::kDetected) ps = podem.generate(faults[target], cube);
     if (ps == PodemStatus::kUntestable) {
       st[target] = FaultStatus::kUntestable;
       ++run_untestable;

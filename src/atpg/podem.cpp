@@ -199,7 +199,7 @@ void Podem::propagate() {
   min_key_ = static_cast<std::uint32_t>(buckets_.size());
 }
 
-void Podem::set_s1(FlopId var, int v) {
+void Podem::write_s1(FlopId var, int v) {
   s1_[var] = static_cast<std::uint8_t>(v);
   const V3 val = v == kBitX ? V3::x() : V3::of(v);
   if (var < nl_->num_flops()) {
@@ -211,6 +211,10 @@ void Podem::set_s1(FlopId var, int v) {
     const FlopId succ = los_succ_[var];
     if (succ != kNullId) update_f2(nl_->flop(succ).q, val, val);
   }
+}
+
+void Podem::set_s1(FlopId var, int v) {
+  write_s1(var, v);
   propagate();
   ++implications_;
 }
@@ -682,6 +686,25 @@ PodemStatus Podem::generate(const TdfFault& fault, TestCube& out) {
     backtracks_ctr_->add(backtracks_ - bt0);
   }
   return st;
+}
+
+void Podem::adopt(const TestCube& cube, std::size_t salt) {
+  // Back to the planes of the assignments below the trail floor, fault-free.
+  pop_to(trail_floor_);
+  reset_fault_plane();
+  // Only the bits that differ from the new cube change; one propagation
+  // then settles every cone they feed.
+  stack_.clear();
+  for (FlopId v = 0; v < s1_.size(); ++v) {
+    if (s1_[v] != cube.s1[v]) write_s1(v, cube.s1[v]);
+    if (cube.s1[v] != kBitX) stack_.push_back(Decision{v, cube.s1[v], true, 0});
+  }
+  propagate();
+  // Every adopted decision undoes by propagation, like an extend()
+  // baseline's.
+  trail_.clear();
+  trail_floor_ = stack_.size();
+  backtrace_salt_ = salt;
 }
 
 PodemStatus Podem::extend(const TdfFault& fault, TestCube& out) {

@@ -18,7 +18,8 @@
 // once. extend() continues from the current assignments to target a second
 // fault without disturbing bits already committed -- that is what lets the
 // ATPG engine pack many faults per pattern the way the commercial greedy
-// tools the paper wraps do.
+// tools the paper wraps do. adopt() loads a cube that generate() found on
+// another Podem, so extend() can build on it without searching again.
 #pragma once
 
 #include <cstdint>
@@ -60,8 +61,20 @@ class Podem {
   /// Dynamic compaction: keep current assignments fixed and try to extend
   /// them to also detect `fault`. On success `out` holds the merged cube; on
   /// failure the pre-call assignments are restored. The backtrace rotation
-  /// continues from the preceding generate() / extend() calls.
+  /// continues from the preceding generate() / adopt() / extend() calls.
   PodemStatus extend(const TdfFault& fault, TestCube& out);
+
+  /// Take over the result of a detected generate() run on another Podem
+  /// with the same netlist, context and options: assign `cube`, which that
+  /// call returned, and continue the backtrace rotation from `salt`, its
+  /// backtrace_salt() afterwards. Every later extend() then behaves exactly
+  /// as it would on that Podem. Only the bits that differ from the current
+  /// assignments are re-implied, in one batched propagation; no fault is
+  /// left installed.
+  void adopt(const TestCube& cube, std::size_t salt);
+
+  /// Backtrace rotation the next extend() starts from.
+  std::size_t backtrace_salt() const { return backtrace_salt_; }
 
   /// Drop all assignments (generate() does this implicitly).
   void clear_assignments();
@@ -114,7 +127,8 @@ class Podem {
   void compute_planes(std::vector<V3>& f1, std::vector<V3>& g2,
                       std::vector<V3>& x2, bool with_fault) const;
   void rebuild_planes();
-  void set_s1(FlopId f, int v);  ///< v in {0,1} or kBitX; propagates
+  void write_s1(FlopId f, int v);  ///< v in {0,1} or kBitX; only enqueues
+  void set_s1(FlopId f, int v);    ///< write_s1, then propagate
   void update_f1(NetId n, V3 v);
   void update_f2(NetId n, V3 good, V3 faulty);
   void enqueue(Frame fr, GateId g);
@@ -176,14 +190,14 @@ class Podem {
 
   std::vector<Decision> stack_;
   std::vector<TrailEntry> trail_;
-  /// Decisions below this stack index predate the installed fault: their
-  /// trail entries were cleared with the old fault, so they undo by
-  /// propagation.
+  /// Decisions below this stack index predate the installed fault (or were
+  /// adopted): their trail entries were cleared with the old fault, so they
+  /// undo by propagation.
   std::size_t trail_floor_ = 0;
   std::uint64_t implications_ = 0;
   std::uint64_t backtracks_ = 0;
   /// Backtrace rotation (path diversification): reset from the seed and the
-  /// fault by generate(), advanced on every backtrack.
+  /// fault by generate(), set by adopt(), advanced on every backtrack.
   std::size_t backtrace_salt_ = 0;
 
   obs::Counter* generates_ctr_ = nullptr;

@@ -314,6 +314,59 @@ TEST(Podem, GenerateIsPure) {
   }
 }
 
+TEST(Podem, AdoptMatchesGenerate) {
+  // The ATPG engine adopts cubes that speculative generate() calls found on
+  // worker Podems instead of searching again, then extends them. Adopting
+  // into a dirty Podem must leave consistent planes, and every extend() that
+  // follows must give what it gives after the generate() itself.
+  PodemRig rig;
+  const auto& chains = test::tiny_soc().scan.chains;
+  const TestContext ctxs[] = {rig.ctx,
+                              TestContext::for_domain_los(rig.nl, 0, chains)};
+  for (const TestContext& ctx : ctxs) {
+    const PodemOptions opt{16, 2007};
+    Podem a(rig.nl, ctx, opt), b(rig.nl, ctx, opt);
+    Rng rng(95);
+    int adopted = 0, merged = 0;
+    for (int trial = 0; trial < 60; ++trial) {
+      TestCube scratch;
+      for (std::uint64_t k = rng.below(4); k > 0; --k) {
+        const auto& f = rig.faults[rng.below(rig.faults.size())];
+        if (rng.below(3) == 0) {
+          b.generate(f, scratch);
+        } else {
+          b.extend(f, scratch);
+        }
+      }
+      const auto& fault = rig.faults[rng.below(rig.faults.size())];
+      TestCube cube;
+      if (a.generate(fault, cube) != PodemStatus::kDetected) continue;
+      ++adopted;
+      b.adopt(cube, a.backtrace_salt());
+      ASSERT_EQ(b.self_check(), "")
+          << "scheme " << static_cast<int>(ctx.scheme) << ", "
+          << describe_fault(rig.nl, fault);
+      ASSERT_EQ(b.cube().s1, cube.s1);
+      for (int k = 0; k < 24; ++k) {
+        const auto& f = rig.faults[rng.below(rig.faults.size())];
+        TestCube want, got;
+        const PodemStatus st = a.extend(f, want);
+        ASSERT_EQ(b.extend(f, got), st)
+            << "scheme " << static_cast<int>(ctx.scheme) << ", extend " << k
+            << " after " << describe_fault(rig.nl, fault);
+        if (st == PodemStatus::kDetected) {
+          ASSERT_EQ(got.s1, want.s1) << describe_fault(rig.nl, f);
+          ++merged;
+        }
+      }
+      ASSERT_EQ(b.cube().s1, a.cube().s1);
+    }
+    EXPECT_GT(adopted, 10);
+    EXPECT_GT(merged, 0);
+    EXPECT_GT(a.backtracks(), 0u);
+  }
+}
+
 TEST(Podem, AbortedOnTinyBacktrackLimit) {
   PodemRig rig;
   Podem strict(rig.nl, rig.ctx, PodemOptions{0});

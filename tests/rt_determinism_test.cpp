@@ -170,10 +170,14 @@ TEST(RtDeterminism, AtpgEngineSpeculationInvariant) {
     for (std::size_t threads : {2, 3, 4}) {
       SCOPED_TRACE(threads);
       obs::Counter& spec = obs::Registry::global().counter("atpg.spec_generates");
-      const std::uint64_t spec0 = spec.value();
+      obs::Counter& gens = obs::Registry::global().counter("atpg.podem_generates");
+      const std::uint64_t spec0 = spec.value(), gens0 = gens.value();
       const auto atn = at_threads(threads, run);
       if (obs::metrics_enabled()) {
         EXPECT_GT(spec.value(), spec0) << "the parallel run must speculate";
+        // Detected verdicts are adopted, never searched again: every
+        // generate() of the parallel run is a speculative one.
+        EXPECT_EQ(gens.value() - gens0, spec.value() - spec0);
       }
       expect_patterns_identical(at1.first.patterns, atn.first.patterns);
       EXPECT_EQ(at1.first.stats.total_faults, atn.first.stats.total_faults);
