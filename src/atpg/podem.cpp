@@ -598,7 +598,8 @@ void Podem::clear_assignments() {
   }
 }
 
-PodemStatus Podem::run(std::size_t baseline, TestCube& out) {
+PodemStatus Podem::run(std::size_t baseline, std::uint32_t backtrack_limit,
+                       TestCube& out) {
   std::uint32_t backtracks = 0;
   for (;;) {
     if (detected()) {
@@ -630,7 +631,7 @@ PodemStatus Podem::run(std::size_t baseline, TestCube& out) {
       return baseline == 0 ? PodemStatus::kUntestable : PodemStatus::kAborted;
     }
     ++backtracks_;
-    if (++backtracks > opt_.backtrack_limit) {
+    if (++backtracks > backtrack_limit) {
       pop_to(baseline);
       return PodemStatus::kAborted;
     }
@@ -679,7 +680,7 @@ PodemStatus Podem::generate(const TdfFault& fault, TestCube& out) {
   install_fault(fault);
   backtrace_salt_ = static_cast<std::size_t>(
       opt_.seed + fault.net + fault.pin + static_cast<std::uint64_t>(fault.type));
-  const PodemStatus st = run(0, out);
+  const PodemStatus st = run(0, opt_.backtrack_limit, out);
   if (obs::metrics_enabled()) {
     generates_ctr_->add(1);
     implications_ctr_->add(implications_ - impl0);
@@ -711,7 +712,7 @@ PodemStatus Podem::extend(const TdfFault& fault, TestCube& out) {
   const std::uint64_t impl0 = implications_, bt0 = backtracks_;
   const std::size_t baseline = stack_.size();
   install_fault(fault);
-  const PodemStatus st = run(baseline, out);
+  const PodemStatus st = run(baseline, extend_backtrack_limit(), out);
   if (st != PodemStatus::kDetected) pop_to(baseline);
   if (obs::metrics_enabled()) {
     extends_ctr_->add(1);

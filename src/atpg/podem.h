@@ -59,10 +59,18 @@ class Podem {
   PodemStatus generate(const TdfFault& fault, TestCube& out);
 
   /// Dynamic compaction: keep current assignments fixed and try to extend
-  /// them to also detect `fault`. On success `out` holds the merged cube; on
-  /// failure the pre-call assignments are restored. The backtrace rotation
-  /// continues from the preceding generate() / adopt() / extend() calls.
+  /// them to also detect `fault`, within extend_backtrack_limit(). On
+  /// success `out` holds the merged cube; on failure the pre-call
+  /// assignments are restored. The backtrace rotation continues from the
+  /// preceding generate() / adopt() / extend() calls.
   PodemStatus extend(const TdfFault& fault, TestCube& out);
+
+  /// Backtrack limit of extend(): a quarter of the generate() limit. Merges
+  /// almost never need more backtracks, while the extends that exhaust a
+  /// full limit would dominate compaction time.
+  std::uint32_t extend_backtrack_limit() const {
+    return opt_.backtrack_limit / 4;
+  }
 
   /// Take over the result of a detected generate() run on another Podem
   /// with the same netlist, context and options: assign `cube`, which that
@@ -142,7 +150,8 @@ class Podem {
   bool detected() const;
 
   // -- search -----------------------------------------------------------------
-  PodemStatus run(std::size_t baseline, TestCube& out);
+  PodemStatus run(std::size_t baseline, std::uint32_t backtrack_limit,
+                  TestCube& out);
   std::optional<Objective> objective();
   bool x_path(NetId start);
   std::optional<std::pair<FlopId, int>> backtrace(Objective obj) const;

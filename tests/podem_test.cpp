@@ -367,6 +367,37 @@ TEST(Podem, AdoptMatchesGenerate) {
   }
 }
 
+TEST(Podem, ExtendStopsAtCompactionCap) {
+  // extend() gives up after extend_backtrack_limit() backtracks, while
+  // generate() still searches up to the full backtrack limit.
+  PodemRig rig;
+  const PodemOptions opt{32, 2007};
+  Podem podem(rig.nl, rig.ctx, opt);
+  const std::uint64_t cap = podem.extend_backtrack_limit();
+  ASSERT_LT(cap, opt.backtrack_limit);
+  Rng rng(97);
+  std::uint64_t most_generate = 0, most_extend = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    const auto& fault = rig.faults[rng.below(rig.faults.size())];
+    TestCube cube;
+    std::uint64_t bt0 = podem.backtracks();
+    const PodemStatus st = podem.generate(fault, cube);
+    std::uint64_t used = podem.backtracks() - bt0;
+    ASSERT_LE(used, opt.backtrack_limit + 1u);
+    most_generate = std::max(most_generate, used);
+    if (st != PodemStatus::kDetected) continue;
+    for (int k = 0; k < 16; ++k) {
+      bt0 = podem.backtracks();
+      podem.extend(rig.faults[rng.below(rig.faults.size())], cube);
+      used = podem.backtracks() - bt0;
+      ASSERT_LE(used, cap + 1);
+      most_extend = std::max(most_extend, used);
+    }
+  }
+  EXPECT_EQ(most_extend, cap + 1) << "some extend must run into the cap";
+  EXPECT_GT(most_generate, cap + 1) << "generate() must not stop at the cap";
+}
+
 TEST(Podem, AbortedOnTinyBacktrackLimit) {
   PodemRig rig;
   Podem strict(rig.nl, rig.ctx, PodemOptions{0});
