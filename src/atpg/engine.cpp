@@ -163,7 +163,8 @@ AtpgResult AtpgEngine::run(std::span<const TdfFault> faults,
             if (v.status == PodemStatus::kDetected) {
               v.salt = p->backtrace_salt();
               for (std::uint32_t b = 0; b < cube.s1.size(); ++b) {
-                if (cube.s1[b] != kBitX) v.care.push_back((b << 1) | cube.s1[b]);
+                if (cube.s1[b] == kBitX) continue;
+                v.care.push_back((b << 1) | cube.s1[b]);
               }
             }
             spec[batch[k]] = std::move(v);
